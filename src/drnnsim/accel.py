@@ -67,10 +67,7 @@ class FixedPointFormat:
 
 def quantize(value: float, fmt: FixedPointFormat) -> int:
     """Round-to-nearest-even of value * 2^n, saturated at the format bounds."""
-    if np.isnan(value):
-        raise ValueError("cannot quantize NaN")
-    raw = np.round(float(value) * fmt.scale)
-    return int(np.clip(raw, fmt.raw_min, fmt.raw_max))
+    return int(FixedPointTensor.from_real(value, fmt).raw)
 
 
 def dequantize(raw: int, fmt: FixedPointFormat) -> float:
@@ -93,15 +90,11 @@ class FixedPointTensor:
         return cls(raw=raw.astype(np.int64), fmt=fmt)
 
     def to_real(self) -> np.ndarray:
-        return self.raw.astype(np.float64) / fmt_scale(self.fmt)
+        return self.raw.astype(np.float64) / self.fmt.scale
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.raw.shape
-
-
-def fmt_scale(fmt: FixedPointFormat) -> int:
-    return fmt.scale
 
 
 def matvec_error_bound(w_max: float, x_max: float, chunk_len: int, fmt: FixedPointFormat) -> float:
@@ -160,18 +153,23 @@ def _emit_output_stream(y: np.ndarray) -> list[StreamPacket]:
     return packets[:-1] + [StreamPacket(payload=packets[-1].payload, last=True)]
 
 
-def decode_output_stream(packets: Iterable[StreamPacket]) -> np.ndarray:
-    """Reassemble accumulator values from an output frame (framing-checked)."""
+def _read_frame(packets: Iterable[StreamPacket]) -> list[int]:
+    """Payload words of one frame, which must end with its only last flag."""
     words = []
     closed = False
     for packet in packets:
         if closed:
             raise FramingError("packet after last flag")
         words.append(packet.payload & _WORD_MASK)
-        if packet.last:
-            closed = True
+        closed = packet.last
     if not closed:
         raise FramingError("missing last flag at end of frame")
+    return words
+
+
+def decode_output_stream(packets: Iterable[StreamPacket]) -> np.ndarray:
+    """Reassemble accumulator values from an output frame (framing-checked)."""
+    words = _read_frame(packets)
     if len(words) % 2 != 0:
         raise FramingError(f"odd output frame length {len(words)}")
     values = [
@@ -241,7 +239,9 @@ class MacArrayCore:
         """One batch: every lane accumulates one product per cycle.
 
         Returns the exact integer accumulator vector (int64, models the
-        >=40-bit hardware accumulators) and the batch timing report.
+        >=40-bit hardware accumulators) and the batch timing report. The
+        cycle-by-cycle accumulation is computed as one integer product,
+        which gives the same sums; timing comes from ``report``.
         """
         if self._weights is None:
             raise RuntimeError("weights not loaded")
@@ -249,12 +249,7 @@ class MacArrayCore:
         if x.shape != (self.config.chunk_len,):
             raise ValueError(f"input shape {x.shape} != ({self.config.chunk_len},)")
         _check_operand_range(x, "input")
-        x = x.astype(np.int64)
-
-        acc = np.zeros(self.config.rows, dtype=np.int64)
-        for k in range(self.config.chunk_len):  # one cycle per operand pair
-            acc += self._weights[:, k] * x[k]
-        return acc, self.report()
+        return self._weights @ x.astype(np.int64), self.report()
 
     def report(self) -> BatchReport:
         """Timing/operation report for one batch under the current config."""
@@ -279,21 +274,12 @@ class MacArrayCore:
 
     def _consume_frame(self, packets: Iterable[StreamPacket]) -> np.ndarray:
         chunk = self.config.chunk_len
-        words: list[int] = []
-        closed = False
-        for packet in packets:
-            if closed:
-                raise FramingError("packet after last flag")
-            words.append(_sign_extend(packet.payload, _WORD_BITS))
-            if packet.last:
-                if len(words) < chunk:
-                    raise FramingError(f"last flag after {len(words)} of {chunk} words")
-                closed = True
-            if len(words) > chunk:
-                raise FramingError(f"frame exceeds {chunk} words")
-        if not closed:
-            raise FramingError("missing last flag at end of frame")
-        return np.asarray(words, dtype=np.int64)
+        words = _read_frame(packets)
+        if len(words) < chunk:
+            raise FramingError(f"last flag after {len(words)} of {chunk} words")
+        if len(words) > chunk:
+            raise FramingError(f"frame exceeds {chunk} words")
+        return np.asarray([_sign_extend(w, _WORD_BITS) for w in words], dtype=np.int64)
 
 
 def stream_roundtrip(core: MacArrayCore, x) -> np.ndarray:

@@ -185,7 +185,6 @@ def cmd_accel_bench(args) -> int:
 
 
 def cmd_cosim_verify(args) -> int:
-    fmt = args.fmt if isinstance(args.fmt, accel.FixedPointFormat) else accel.FixedPointFormat.parse(args.fmt)
     golden = cosim.golden_test()
     print(golden)
     print(f"hardware: {golden.hardware}")
@@ -196,10 +195,10 @@ def cmd_cosim_verify(args) -> int:
     params = lm.init_params(hidden=config.chunk_len, vocab=lm.DEFAULT_VOCAB, seed=args.seed)
     h_prev = rng.uniform(-1.0, 1.0, size=config.chunk_len)
     x_id = int(rng.integers(0, params.vocab))
-    offload = cosim.offload_gate_preactivation(params.layers[0], h_prev, x_id, fmt)
+    offload = cosim.offload_gate_preactivation(params.layers[0], h_prev, x_id, args.fmt)
     within = offload.max_abs_err <= offload.error_bound
     print(
-        f"gate pre-activation offload ({fmt}): max |error| = {offload.max_abs_err:.3e} "
+        f"gate pre-activation offload ({args.fmt}): max |error| = {offload.max_abs_err:.3e} "
         f"(bound {offload.error_bound:.3e}) -> {'PASS' if within else 'FAIL'}"
     )
 

@@ -17,9 +17,6 @@ N_LAYERS = 3
 DEFAULT_HIDDEN = 50
 DEFAULT_VOCAB = 4000
 
-# Field order mirrors the gate wiring: recurrent weights, input weights, biases.
-GATE_PARAM_FIELDS = ("Wf", "Wi", "Wo", "Wg", "Uf", "Ui", "Uo", "Ug", "bf", "bi", "bo", "bg")
-
 # hard_sigmoid(x) = clamp(0.2 x + 0.5, 0, 1); its slope is 0.2 strictly
 # inside |x| < 2.5 and 0 in the saturated regions.
 _HS_SLOPE = 0.2
@@ -83,43 +80,57 @@ def rnn_step(params: RnnParams, x_id: int, s_prev: np.ndarray | None = None):
     return s, softmax(params.V @ s)
 
 
+GATES = ("f", "i", "o", "g")
+
+
 @dataclass
 class LstmLayerParams:
-    """One LSTM layer: four gate blocks of (recurrent W, input U, bias b)."""
+    """One LSTM layer as three fused arrays, row blocks in gate order f, i, o, g.
 
-    Wf: np.ndarray
-    Wi: np.ndarray
-    Wo: np.ndarray
-    Wg: np.ndarray
-    Uf: np.ndarray
-    Ui: np.ndarray
-    Uo: np.ndarray
-    Ug: np.ndarray
-    bf: np.ndarray
-    bi: np.ndarray
-    bo: np.ndarray
-    bg: np.ndarray
+    ``W`` is 4H x H (recurrent), ``U`` is 4H x I (input), ``b`` has 4H
+    entries. The per-gate names ``Wf`` ... ``bg`` are views of the blocks:
+    reads and in-place writes reach the fused storage, and they stay
+    aliased after ``copy.deepcopy`` because they are derived on access.
+    """
+
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        hidden = self.bf.shape[0]
-        input_dim = self.Uf.shape[1]
-        for name in ("Wf", "Wi", "Wo", "Wg"):
-            if getattr(self, name).shape != (hidden, hidden):
-                raise ValueError(f"{name} shape {getattr(self, name).shape} != ({hidden}, {hidden})")
-        for name in ("Uf", "Ui", "Uo", "Ug"):
-            if getattr(self, name).shape != (hidden, input_dim):
-                raise ValueError(f"{name} shape {getattr(self, name).shape} != ({hidden}, {input_dim})")
-        for name in ("bf", "bi", "bo", "bg"):
-            if getattr(self, name).shape != (hidden,):
-                raise ValueError(f"{name} shape {getattr(self, name).shape} != ({hidden},)")
+        rows = 4 * self.hidden
+        if self.b.shape != (rows,) or self.W.shape != (rows, self.hidden) or self.U.ndim != 2 or len(self.U) != rows:
+            raise ValueError(
+                f"shapes W {self.W.shape}, U {self.U.shape}, b {self.b.shape} are not (4H, H), (4H, I), (4H,)"
+            )
 
     @property
     def hidden(self) -> int:
-        return self.bf.shape[0]
+        return self.b.shape[0] // 4
 
     @property
     def input_dim(self) -> int:
-        return self.Uf.shape[1]
+        return self.U.shape[1]
+
+
+def _gate_block(fused: str, k: int) -> property:
+    """Row block ``k`` of the fused array ``fused``, as a view; assignment writes into it."""
+
+    def view(layer: LstmLayerParams) -> np.ndarray:
+        arr = getattr(layer, fused)
+        rows = len(arr) // 4
+        return arr[k * rows:(k + 1) * rows]
+
+    def assign(layer: LstmLayerParams, value) -> None:
+        view(layer)[...] = value
+
+    return property(view, assign)
+
+
+# Per-gate names in container order: recurrent weights, input weights, biases.
+GATE_PARAM_FIELDS = tuple(fused + gate for fused in "WUb" for gate in GATES)
+for _name in GATE_PARAM_FIELDS:
+    setattr(LstmLayerParams, _name, _gate_block(_name[0], GATES.index(_name[1])))
 
 
 @dataclass
@@ -162,70 +173,54 @@ def zero_state(params: LstmStackParams) -> LstmState:
     )
 
 
-@dataclass
-class CellTrace:
-    """Everything a backward pass needs from one cell evaluation."""
+def _cell(layer: LstmLayerParams, x, h_prev: np.ndarray, c_prev: np.ndarray):
+    """The LSTM cell over the fused gate blocks; returns (h, c, z, act).
 
-    x: object  # token id (layer 0) or input vector
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    f: np.ndarray
-    i: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
-    h: np.ndarray
-    f_deriv: np.ndarray
-    i_deriv: np.ndarray
-    o_deriv: np.ndarray
-
-
-def _input_term(U: np.ndarray, x) -> np.ndarray:
-    # One-hot input reduces U @ x to a column pick.
-    if isinstance(x, (int, np.integer)):
-        return U[:, x]
-    return U @ x
-
-
-def lstm_cell_trace(layer: LstmLayerParams, x, h_prev: np.ndarray, c_prev: np.ndarray) -> CellTrace:
-    """Forward one LSTM cell, keeping gate values and slope masks.
-
-    Gate order: forget and input gates scale the cell update, the tanh
-    candidate provides new content, the output gate scales tanh(c). Biases
-    sit inside the nonlinearities.
+    ``z`` holds the 4H pre-activations and ``act`` the gate values in
+    order f, i, o, g: hard-sigmoid on the first 3H entries, tanh on the
+    candidate g. Forget and input gates scale the cell update, the output
+    gate scales tanh(c). Biases sit inside the nonlinearities.
     """
     if isinstance(x, (int, np.integer)):
         _check_token_id(int(x), layer.input_dim)
-    zf = layer.Wf @ h_prev + _input_term(layer.Uf, x) + layer.bf
-    zi = layer.Wi @ h_prev + _input_term(layer.Ui, x) + layer.bi
-    zo = layer.Wo @ h_prev + _input_term(layer.Uo, x) + layer.bo
-    zg = layer.Wg @ h_prev + _input_term(layer.Ug, x) + layer.bg
-    f = hard_sigmoid(zf)
-    i = hard_sigmoid(zi)
-    o = hard_sigmoid(zo)
-    g = np.tanh(zg)
+        x_term = layer.U[:, x]  # one-hot input reduces U @ x to a column pick
+    else:
+        x_term = layer.U @ x
+    hidden = layer.hidden
+    z = layer.W @ h_prev + x_term + layer.b
+    act = np.concatenate((hard_sigmoid(z[:3 * hidden]), np.tanh(z[3 * hidden:])))
+    f, i, o, g = act[:hidden], act[hidden:2 * hidden], act[2 * hidden:3 * hidden], act[3 * hidden:]
     c = f * c_prev + i * g
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    return CellTrace(
-        x=x, h_prev=h_prev, c_prev=c_prev, f=f, i=i, g=g, o=o, c=c, tanh_c=tanh_c, h=h,
-        f_deriv=hard_sigmoid_deriv(zf), i_deriv=hard_sigmoid_deriv(zi), o_deriv=hard_sigmoid_deriv(zo),
-    )
+    h = o * np.tanh(c)
+    return h, c, z, act
 
 
 def lstm_cell_forward(layer: LstmLayerParams, x, h_prev: np.ndarray, c_prev: np.ndarray):
     """One LSTM cell step; returns (h, c)."""
-    trace = lstm_cell_trace(layer, x, h_prev, c_prev)
-    return trace.h, trace.c
+    h, c, _, _ = _cell(layer, x, h_prev, c_prev)
+    return h, c
+
+
+@dataclass
+class LayerTrace:
+    """One layer's forward values over a sequence, stacked over time.
+
+    ``h`` and ``c`` have T+1 rows: the state before the first step, then
+    the state after each step. Row t of ``z`` and ``act`` holds step t's
+    pre-activations and gate values (order f, i, o, g).
+    """
+
+    h: np.ndarray
+    c: np.ndarray
+    z: np.ndarray
+    act: np.ndarray
 
 
 def stack_forward_trace(params: LstmStackParams, input_ids, state0: LstmState | None = None):
-    """Run the 3-layer stack over a token sequence, keeping cell traces.
+    """Run the 3-layer stack over a token sequence, keeping what BPTT needs.
 
-    Returns (outputs, traces, states): softmax output per step, the
-    per-step per-layer CellTrace list used by backpropagation, and the
-    stack state snapshot after each step.
+    Returns (outputs, traces): the softmax output per step and one
+    LayerTrace per layer.
     """
     ids = list(input_ids)
     if not ids:
@@ -233,28 +228,33 @@ def stack_forward_trace(params: LstmStackParams, input_ids, state0: LstmState | 
     for x in ids:
         _check_token_id(int(x), params.vocab)
     state = state0.copy() if state0 is not None else zero_state(params)
+    steps, hidden = len(ids), params.hidden
 
+    traces = [
+        LayerTrace(np.empty((steps + 1, hidden)), np.empty((steps + 1, hidden)),
+                   np.empty((steps, 4 * hidden)), np.empty((steps, 4 * hidden)))
+        for _ in params.layers
+    ]
+    for tr, h0, c0 in zip(traces, state.h, state.c):
+        tr.h[0], tr.c[0] = h0, c0
     outputs: list[np.ndarray] = []
-    traces: list[list[CellTrace]] = []
-    states: list[LstmState] = []
-    for x in ids:
-        step_traces = []
+    for t, x in enumerate(ids):
         layer_input: object = int(x)
-        for l, layer in enumerate(params.layers):
-            trace = lstm_cell_trace(layer, layer_input, state.h[l], state.c[l])
-            state.h[l] = trace.h
-            state.c[l] = trace.c
-            step_traces.append(trace)
-            layer_input = trace.h
+        for l, (layer, tr) in enumerate(zip(params.layers, traces)):
+            state.h[l], state.c[l], tr.z[t], tr.act[t] = _cell(layer, layer_input, state.h[l], state.c[l])
+            tr.h[t + 1], tr.c[t + 1] = state.h[l], state.c[l]
+            layer_input = state.h[l]
         outputs.append(softmax(params.V @ state.h[-1]))
-        traces.append(step_traces)
-        states.append(state.copy())
-    return outputs, traces, states
+    return outputs, traces
 
 
 def stack_forward(params: LstmStackParams, input_ids, state0: LstmState | None = None):
     """Forward over a token sequence; returns (outputs, per-step states)."""
-    outputs, _, states = stack_forward_trace(params, input_ids, state0)
+    outputs, traces = stack_forward_trace(params, input_ids, state0)
+    states = [
+        LstmState([tr.h[t + 1] for tr in traces], [tr.c[t + 1] for tr in traces])
+        for t in range(len(outputs))
+    ]
     return outputs, states
 
 
@@ -262,6 +262,15 @@ def stack_step(params: LstmStackParams, x_id: int, state: LstmState):
     """Advance the stack by one token; returns (output distribution, new state)."""
     outputs, states = stack_forward(params, [x_id], state)
     return outputs[0], states[0]
+
+
+def zero_params(hidden: int, vocab: int) -> LstmStackParams:
+    """All-zero parameters of a 3-layer stack."""
+    layers = [
+        LstmLayerParams(np.zeros((4 * hidden, hidden)), np.zeros((4 * hidden, n_in)), np.zeros(4 * hidden))
+        for n_in in [vocab] + [hidden] * (N_LAYERS - 1)
+    ]
+    return LstmStackParams(layers=layers, V=np.zeros((vocab, hidden)), hidden=hidden, vocab=vocab)
 
 
 def init_params(hidden: int = DEFAULT_HIDDEN, vocab: int = DEFAULT_VOCAB, seed: int = 0) -> LstmStackParams:
@@ -272,19 +281,11 @@ def init_params(hidden: int = DEFAULT_HIDDEN, vocab: int = DEFAULT_VOCAB, seed: 
         bound = 1.0 / math.sqrt(cols)
         return rng.uniform(-bound, bound, size=(rows, cols))
 
-    layers = []
-    for l in range(N_LAYERS):
-        input_dim = vocab if l == 0 else hidden
-        layers.append(
-            LstmLayerParams(
-                Wf=mat(hidden, hidden), Wi=mat(hidden, hidden),
-                Wo=mat(hidden, hidden), Wg=mat(hidden, hidden),
-                Uf=mat(hidden, input_dim), Ui=mat(hidden, input_dim),
-                Uo=mat(hidden, input_dim), Ug=mat(hidden, input_dim),
-                bf=np.zeros(hidden), bi=np.zeros(hidden),
-                bo=np.zeros(hidden), bg=np.zeros(hidden),
-            )
-        )
+    # One draw per fused array fills its gate blocks in order f, i, o, g.
+    layers = [
+        LstmLayerParams(W=mat(4 * hidden, hidden), U=mat(4 * hidden, n_in), b=np.zeros(4 * hidden))
+        for n_in in [vocab] + [hidden] * (N_LAYERS - 1)
+    ]
     return LstmStackParams(layers=layers, V=mat(vocab, hidden), hidden=hidden, vocab=vocab)
 
 

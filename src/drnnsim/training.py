@@ -14,10 +14,14 @@ import numpy as np
 from .corpus import TrainingPair, end_token_id, start_token_id
 from .lm import (
     GATE_PARAM_FIELDS,
+    N_LAYERS,
+    LayerTrace,
     LstmLayerParams,
     LstmStackParams,
+    hard_sigmoid_deriv,
     stack_forward,
     stack_forward_trace,
+    zero_params,
 )
 
 # Probability floor inside the loss so a zero-probability target cannot
@@ -96,11 +100,8 @@ class Gradients:
 
 
 def zero_gradients(params: LstmStackParams) -> Gradients:
-    layers = [
-        LstmLayerParams(**{name: np.zeros_like(getattr(layer, name)) for name in GATE_PARAM_FIELDS})
-        for layer in params.layers
-    ]
-    return Gradients(layers=layers, V=np.zeros_like(params.V))
+    zeros = zero_params(params.hidden, params.vocab)
+    return Gradients(layers=zeros.layers, V=zeros.V)
 
 
 def named_arrays(obj: LstmStackParams | Gradients) -> dict[str, np.ndarray]:
@@ -113,66 +114,64 @@ def named_arrays(obj: LstmStackParams | Gradients) -> dict[str, np.ndarray]:
     return arrays
 
 
+def _layer_backward(layer: LstmLayerParams, tr: LayerTrace, dh_in: np.ndarray) -> np.ndarray:
+    """Pre-activation gradients dZ (T x 4H) of one layer, given dLoss/dh per step.
+
+    Only the dh/dc recurrence runs step by step; everything it reads is
+    computed for all steps at once.
+    """
+    hidden = layer.hidden
+    f, i, o, g = np.split(tr.act, 4, axis=1)
+    tanh_c = np.tanh(tr.c[1:])
+    slope = np.concatenate((hard_sigmoid_deriv(tr.z[:, :3 * hidden]), 1.0 - g**2), axis=1)
+    # dZ[t] = [dc, dc, dh, dc] * dz_dstate[t], block by block in gate order.
+    dz_dstate = np.concatenate((tr.c[:-1], g, tanh_c, i), axis=1) * slope
+    dc_dh = o * (1.0 - tanh_c**2)
+
+    dZ = np.empty_like(tr.z)
+    dh_next = np.zeros(hidden)
+    dc_next = np.zeros(hidden)
+    for t in reversed(range(len(dZ))):
+        dh = dh_next + dh_in[t]
+        dc = dc_next + dh * dc_dh[t]
+        dZ[t] = np.concatenate((dc, dc, dh, dc)) * dz_dstate[t]
+        dc_next = dc * f[t]
+        dh_next = layer.W.T @ dZ[t]
+    return dZ
+
+
 def bptt_gradients(params: LstmStackParams, pair: TrainingPair):
     """Exact loss gradients by backpropagation through time.
 
-    Runs the stack forward over ``pair.input``, then walks time steps in
-    reverse, pushing gradients down through the three layers and back
-    through the recurrent connections. Returns (loss, Gradients).
+    Runs the stack forward over ``pair.input``, then walks the layers from
+    the top down, each one backwards through time. Every weight gradient is
+    one product of arrays stacked over the sequence. Returns (loss,
+    Gradients).
     """
     if len(pair.input) != len(pair.label):
         raise ValueError("input and label lengths differ")
-    outputs, traces, _ = stack_forward_trace(params, pair.input)
+    outputs, traces = stack_forward_trace(params, pair.input)
     loss = sequence_loss(outputs, pair.label)
 
-    grads = zero_gradients(params)
-    n_layers = len(params.layers)
-    hidden = params.hidden
-    dh_next = [np.zeros(hidden) for _ in range(n_layers)]
-    dc_next = [np.zeros(hidden) for _ in range(n_layers)]
+    # Softmax + cross-entropy collapse to (p - onehot) at the logits.
+    dz_out = np.array(outputs)
+    dz_out[np.arange(len(pair.label)), pair.label] -= 1.0
+    grad_V = dz_out.T @ traces[-1].h[1:]
+    dh_in = dz_out @ params.V
 
-    for t in reversed(range(len(pair.input))):
-        # Softmax + cross-entropy collapse to (p - onehot) at the logits.
-        dz_out = outputs[t].copy()
-        dz_out[pair.label[t]] -= 1.0
-        grads.V += np.outer(dz_out, traces[t][-1].h)
-        dx = params.V.T @ dz_out
-
-        for l in reversed(range(n_layers)):
-            tr = traces[t][l]
-            p = params.layers[l]
-            g = grads.layers[l]
-
-            dh = dh_next[l] + dx
-            dc = dc_next[l] + dh * tr.o * (1.0 - tr.tanh_c**2)
-            dzo = dh * tr.tanh_c * tr.o_deriv
-            dzf = dc * tr.c_prev * tr.f_deriv
-            dzi = dc * tr.g * tr.i_deriv
-            dzg = dc * tr.i * (1.0 - tr.g**2)
-            dc_next[l] = dc * tr.f
-            dh_next[l] = p.Wf.T @ dzf + p.Wi.T @ dzi + p.Wo.T @ dzo + p.Wg.T @ dzg
-
-            g.Wf += np.outer(dzf, tr.h_prev)
-            g.Wi += np.outer(dzi, tr.h_prev)
-            g.Wo += np.outer(dzo, tr.h_prev)
-            g.Wg += np.outer(dzg, tr.h_prev)
-            g.bf += dzf
-            g.bi += dzi
-            g.bo += dzo
-            g.bg += dzg
-            if l == 0:
-                # One-hot input: only the token's column receives gradient.
-                g.Uf[:, tr.x] += dzf
-                g.Ui[:, tr.x] += dzi
-                g.Uo[:, tr.x] += dzo
-                g.Ug[:, tr.x] += dzg
-            else:
-                g.Uf += np.outer(dzf, tr.x)
-                g.Ui += np.outer(dzi, tr.x)
-                g.Uo += np.outer(dzo, tr.x)
-                g.Ug += np.outer(dzg, tr.x)
-                dx = p.Uf.T @ dzf + p.Ui.T @ dzi + p.Uo.T @ dzo + p.Ug.T @ dzg
-    return loss, grads
+    grad_layers = []
+    for l in reversed(range(len(params.layers))):
+        layer, tr = params.layers[l], traces[l]
+        dZ = _layer_backward(layer, tr, dh_in)
+        if l == 0:
+            # One-hot input: only the tokens' columns receive gradient.
+            grad_U = np.zeros_like(layer.U)
+            np.add.at(grad_U.T, list(pair.input), dZ)
+        else:
+            grad_U = dZ.T @ traces[l - 1].h[1:]
+            dh_in = dZ @ layer.U
+        grad_layers.append(LstmLayerParams(dZ.T @ tr.h[:-1], grad_U, dZ.sum(axis=0)))
+    return loss, Gradients(layers=grad_layers[::-1], V=grad_V)
 
 
 def sgd_step(params: LstmStackParams, grads: Gradients, learning_rate: float) -> LstmStackParams:
@@ -343,7 +342,12 @@ def save_model(params: LstmStackParams, path, dtype: str = "f64") -> None:
 
 
 def load_model(path) -> LstmStackParams:
-    """Read a model container back into float64 parameters."""
+    """Read a model container back into float64 parameters.
+
+    Every malformed file raises ModelFormatError. The headers are read and
+    checked against the topology named by V's shape before anything is
+    allocated; each array is then decoded straight into its gate block.
+    """
     data = Path(path).read_bytes()
     offset = 0
 
@@ -361,40 +365,44 @@ def load_model(path) -> LstmStackParams:
     if version != MODEL_VERSION:
         raise ModelFormatError(f"unknown model version {version}")
 
-    arrays: dict[str, np.ndarray] = {}
+    index: dict[str, tuple[np.dtype, tuple[int, ...], int]] = {}  # name -> dtype, shape, data offset
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ModelFormatError("array name is not valid UTF-8") from None
         code, rank = struct.unpack("<BB", take(2))
         if code not in _DTYPE_NP:
             raise ModelFormatError(f"unknown dtype code {code}")
         shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(rank))
         np_dtype = _DTYPE_NP[code]
-        raw = take(int(np.prod(shape, dtype=np.int64)) * np_dtype.itemsize)
-        arrays[name] = np.frombuffer(raw, dtype=np_dtype).reshape(shape).astype(np.float64)
+        index[name] = (np_dtype, shape, offset)
+        take(math.prod(shape) * np_dtype.itemsize)  # Python ints: no overflow
     if offset != len(data):
         raise ModelFormatError("trailing bytes after last array")
 
-    if "V" not in arrays:
+    if "V" not in index:
         raise ModelFormatError("missing output projection array V")
-    V = arrays.pop("V")
-    vocab, hidden = V.shape
-    layer_count = 0
-    while f"layer{layer_count}.Wf" in arrays:
-        layer_count += 1
-    layers = []
-    for l in range(layer_count):
-        fields = {}
-        for name in GATE_PARAM_FIELDS:
-            key = f"layer{l}.{name}"
-            if key not in arrays:
-                raise ModelFormatError(f"missing array {key}")
-            fields[name] = arrays.pop(key)
-        layers.append(LstmLayerParams(**fields))
-    if arrays:
-        raise ModelFormatError(f"unexpected arrays: {sorted(arrays)}")
-    params = LstmStackParams(layers=layers, V=V, hidden=hidden, vocab=vocab)
-    for name, arr in named_arrays(params).items():
-        if not np.all(np.isfinite(arr)):
+    if len(index["V"][1]) != 2:
+        raise ModelFormatError(f"V has rank {len(index['V'][1])}, expected 2")
+    vocab, hidden = index["V"][1]
+    expected = {"V": (vocab, hidden)}
+    for l in range(N_LAYERS):
+        shapes = {"W": (hidden, hidden), "U": (hidden, vocab if l == 0 else hidden), "b": (hidden,)}
+        expected.update({f"layer{l}.{name}": shapes[name[0]] for name in GATE_PARAM_FIELDS})
+    for name, want in expected.items():
+        if name not in index:
+            raise ModelFormatError(f"missing array {name}")
+        if index[name][1] != want:
+            raise ModelFormatError(f"array {name} shape {index[name][1]} != {want}")
+    if index.keys() != expected.keys():
+        raise ModelFormatError(f"unexpected arrays: {sorted(index.keys() - expected.keys())}")
+
+    params = zero_params(hidden, vocab)
+    for name, dest in named_arrays(params).items():
+        np_dtype, shape, start = index[name]
+        dest[...] = np.frombuffer(data, dtype=np_dtype, count=dest.size, offset=start).reshape(shape)
+        if not np.all(np.isfinite(dest)):
             raise ModelFormatError(f"non-finite values in array {name}")
     return params

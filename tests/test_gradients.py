@@ -78,12 +78,12 @@ def test_single_step_output_projection_identity():
     # for one step, dV is the softmax-cross-entropy outer product
     params = lm.init_params(hidden=4, vocab=8, seed=4)
     pair = TrainingPair(input=[2], label=[5])
-    outputs, traces, _ = lm.stack_forward_trace(params, pair.input)
+    outputs, traces = lm.stack_forward_trace(params, pair.input)
     _, grads = bptt_gradients(params, pair)
     expected = outputs[0].copy()
     expected[5] -= 1.0
     np.testing.assert_allclose(
-        grads.V, np.outer(expected, traces[0][-1].h), atol=1e-12
+        grads.V, np.outer(expected, traces[-1].h[1]), atol=1e-12
     )
     numeric = finite_difference_gradient(params, pair, params.V)
     np.testing.assert_allclose(grads.V, numeric, atol=1e-7)

@@ -152,11 +152,8 @@ class TestRnnStep:
 # ---------------------------------------------------------------------------
 
 def zero_layer(hidden, input_dim):
-    z = lambda *shape: np.zeros(shape)
     return LstmLayerParams(
-        Wf=z(hidden, hidden), Wi=z(hidden, hidden), Wo=z(hidden, hidden), Wg=z(hidden, hidden),
-        Uf=z(hidden, input_dim), Ui=z(hidden, input_dim), Uo=z(hidden, input_dim),
-        Ug=z(hidden, input_dim), bf=z(hidden), bi=z(hidden), bo=z(hidden), bg=z(hidden),
+        W=np.zeros((4 * hidden, hidden)), U=np.zeros((4 * hidden, input_dim)), b=np.zeros(4 * hidden)
     )
 
 
@@ -177,9 +174,9 @@ class TestLstmCell:
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(12)
         layer = LstmLayerParams(
-            **{n: rng.normal(scale=0.7, size=(2, 2)) for n in ("Wf", "Wi", "Wo", "Wg")},
-            **{n: rng.normal(scale=0.7, size=(2, 2)) for n in ("Uf", "Ui", "Uo", "Ug")},
-            **{n: rng.normal(scale=0.3, size=2) for n in ("bf", "bi", "bo", "bg")},
+            W=rng.normal(scale=0.7, size=(8, 2)),
+            U=rng.normal(scale=0.7, size=(8, 2)),
+            b=rng.normal(scale=0.3, size=8),
         )
         x = rng.normal(size=2)
         h_prev = rng.normal(size=2)
@@ -192,13 +189,13 @@ class TestLstmCell:
     def test_gate_ranges(self):
         rng = np.random.default_rng(13)
         params = init_params(hidden=6, vocab=9, seed=13)
-        _, traces, _ = stack_forward_trace(params, list(rng.integers(0, 9, size=8)))
-        for step in traces:
-            for tr in step:
-                for gate in (tr.f, tr.i, tr.o):
-                    assert np.all(gate >= 0.0) and np.all(gate <= 1.0)
-                assert np.all(np.abs(tr.g) <= 1.0)
-                assert np.all(np.abs(tr.tanh_c) <= 1.0)
+        _, traces = stack_forward_trace(params, list(rng.integers(0, 9, size=8)))
+        for tr in traces:
+            f, i, o, g = np.split(tr.act, 4, axis=1)
+            for gate in (f, i, o):
+                assert np.all(gate >= 0.0) and np.all(gate <= 1.0)
+            assert np.all(np.abs(g) <= 1.0)
+            assert np.all(np.abs(np.tanh(tr.c[1:])) <= 1.0)
 
     def test_shape_mismatch_is_an_error(self):
         layer = zero_layer(hidden=3, input_dim=4)

@@ -1,5 +1,6 @@
 """Model container round-trip and corruption tests."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -13,6 +14,15 @@ from drnnsim.training import (
     named_arrays,
     save_model,
 )
+
+
+def write_container(path, arrays):
+    """A version-1 container of f64 arrays, written field by field."""
+    out = [MODEL_MAGIC, struct.pack("<II", 1, len(arrays))]
+    for name, shape, raw in arrays:
+        out += [struct.pack("<H", len(name)), name, struct.pack("<BB", 0, len(shape))]
+        out += [struct.pack("<Q", dim) for dim in shape] + [raw]
+    path.write_bytes(b"".join(out))
 
 
 def container_size(params, itemsize):
@@ -50,6 +60,15 @@ class TestRoundTrip:
         save_model(load_model(a), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_seeded_model_bytes_are_pinned(self, tmp_path):
+        # SHA-256 of the file as written while layers were stored as twelve
+        # per-gate arrays: seeded init values and the container must not change
+        path = tmp_path / "model.drnn"
+        save_model(lm.init_params(4, 9, seed=0), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "abd7d2984b178e016e18b9f01bf27b6027a7861f0feab17fc7093a794bb502a8"
+        )
+
     def test_file_size_matches_the_layout(self, tmp_path):
         params = lm.init_params(hidden=3, vocab=6, seed=0)
         for dtype, itemsize in (("f64", 8), ("f32", 4)):
@@ -78,6 +97,32 @@ class TestCorruption:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(ModelFormatError, match="truncated"):
+            load_model(path)
+
+    def test_dims_whose_product_overflows_64_bits(self, tmp_path):
+        path = tmp_path / "model.drnn"
+        write_container(path, [(b"V", (2**32, 2**32), b"")])
+        with pytest.raises(ModelFormatError, match="truncated"):
+            load_model(path)
+
+    def test_array_name_that_is_not_utf8(self, tmp_path):
+        path = self.make_file(tmp_path)
+        data = path.read_bytes()
+        name = b"layer0.Wf"
+        path.write_bytes(data.replace(name, b"\xff" * len(name), 1))
+        with pytest.raises(ModelFormatError, match="UTF-8"):
+            load_model(path)
+
+    def test_well_formed_container_with_two_layers(self, tmp_path):
+        params = lm.init_params(hidden=3, vocab=6, seed=1)
+        arrays = [
+            (name.encode(), arr.shape, arr.tobytes())
+            for name, arr in named_arrays(params).items()
+            if not name.startswith("layer2.")
+        ]
+        path = tmp_path / "model.drnn"
+        write_container(path, arrays)
+        with pytest.raises(ModelFormatError, match="missing array layer2"):
             load_model(path)
 
     def test_unknown_version(self, tmp_path):

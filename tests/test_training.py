@@ -96,13 +96,8 @@ class TestPerplexity:
 class TestScoreSentence:
     def test_uniform_single_token(self):
         layers = [
-            lm.LstmLayerParams(**{n: np.zeros((2, 5) if n.startswith("U") else (2, 2))
-                                  if not n.startswith("b") else np.zeros(2)
-                                  for n in lm.GATE_PARAM_FIELDS}),
-            lm.LstmLayerParams(**{n: np.zeros((2, 2)) if not n.startswith("b") else np.zeros(2)
-                                  for n in lm.GATE_PARAM_FIELDS}),
-            lm.LstmLayerParams(**{n: np.zeros((2, 2)) if not n.startswith("b") else np.zeros(2)
-                                  for n in lm.GATE_PARAM_FIELDS}),
+            lm.LstmLayerParams(W=np.zeros((8, 2)), U=np.zeros((8, input_dim)), b=np.zeros(8))
+            for input_dim in (5, 2, 2)
         ]
         params = lm.LstmStackParams(layers=layers, V=np.zeros((5, 2)), hidden=2, vocab=5)
         assert score_sentence(params, [1]) == pytest.approx(math.log(1 / 5), abs=1e-12)
