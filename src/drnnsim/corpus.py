@@ -19,9 +19,10 @@ DEFAULT_VOCAB_BUDGET = 4000
 
 # A sentence ends at . ! or ? followed by whitespace (or end of text).
 _SENTENCE_BREAK = re.compile(r"(?<=[.!?])\s+")
-# A token is a run of letters/digits (apostrophes allowed inside words)
-# or a single punctuation character.
-_TOKEN = re.compile(r"[a-z0-9']+|[^\sa-z0-9']")
+# A token is a run of letters/digits of any script (apostrophes allowed
+# inside words) or any other single non-space character. ``\w`` also
+# matches "_", so tokenize() spaces each "_" out into a token of its own.
+_TOKEN = re.compile(r"[\w']+|\S")
 
 
 def start_token_id(vocab_size: int) -> int:
@@ -44,7 +45,7 @@ def tokenize(text: str) -> list[list[str]]:
     """
     sentences = []
     for chunk in _SENTENCE_BREAK.split(text.lower()):
-        words = _TOKEN.findall(chunk)
+        words = _TOKEN.findall(chunk.replace("_", " _ "))
         if words:
             sentences.append(words)
     return sentences

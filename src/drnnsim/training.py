@@ -93,15 +93,24 @@ def score_sentence(params: LstmStackParams, sentence) -> float:
 
 @dataclass
 class Gradients:
-    """Loss gradients, one array per parameter array (same shapes)."""
+    """Loss gradients, one array per parameter array.
+
+    Every array has its parameter's shape except layer 0's input gradient,
+    which is column-sparse: ``layers[0].U`` is 4H x k and its column j is
+    the gradient of ``params.layers[0].U[:, input_ids[j]]``. ``input_ids``
+    holds the k distinct input tokens of the sentence, sorted; every other
+    column of the dense gradient is zero.
+    """
 
     layers: list[LstmLayerParams]
     V: np.ndarray
+    input_ids: np.ndarray
 
 
 def zero_gradients(params: LstmStackParams) -> Gradients:
-    zeros = zero_params(params.hidden, params.vocab)
-    return Gradients(layers=zeros.layers, V=zeros.V)
+    """All-zero gradients; layer 0's input gradient has no columns."""
+    zeros = zero_params(params.hidden, 0)  # vocabulary 0: layer 0's U is 4H x 0
+    return Gradients(layers=zeros.layers, V=np.zeros_like(params.V), input_ids=np.zeros(0, dtype=np.intp))
 
 
 def named_arrays(obj: LstmStackParams | Gradients) -> dict[str, np.ndarray]:
@@ -164,30 +173,43 @@ def bptt_gradients(params: LstmStackParams, pair: TrainingPair):
         layer, tr = params.layers[l], traces[l]
         dZ = _layer_backward(layer, tr, dh_in)
         if l == 0:
-            # One-hot input: only the tokens' columns receive gradient.
-            grad_U = np.zeros_like(layer.U)
-            np.add.at(grad_U.T, list(pair.input), dZ)
+            # One-hot input: only the tokens' columns receive gradient. Each
+            # column sums its dZ rows in sentence order, starting from 0.0.
+            input_ids, column = np.unique(pair.input, return_inverse=True)
+            grad_U = np.zeros((len(input_ids), dZ.shape[1]))
+            np.add.at(grad_U, column, dZ)
+            grad_U = grad_U.T
         else:
             grad_U = dZ.T @ traces[l - 1].h[1:]
             dh_in = dZ @ layer.U
         grad_layers.append(LstmLayerParams(dZ.T @ tr.h[:-1], grad_U, dZ.sum(axis=0)))
-    return loss, Gradients(layers=grad_layers[::-1], V=grad_V)
+    return loss, Gradients(layers=grad_layers[::-1], V=grad_V, input_ids=input_ids)
+
+
+def _fused_arrays(obj: LstmStackParams | Gradients) -> list[np.ndarray]:
+    """The fused arrays W, U, b of each layer, then V."""
+    return [arr for layer in obj.layers for arr in (layer.W, layer.U, layer.b)] + [obj.V]
 
 
 def sgd_step(params: LstmStackParams, grads: Gradients, learning_rate: float) -> LstmStackParams:
     """In-place SGD update of every parameter array.
 
     All gradients are checked before anything is touched, so a divergence
-    error leaves the parameters unmodified.
+    error leaves the parameters unmodified. Layer 0's input gradient only
+    reaches the columns named by ``grads.input_ids``; the columns it skips
+    would have been updated by zero, which leaves a finite value unchanged.
     """
     if learning_rate <= 0:
         raise ValueError("learning_rate must be > 0")
-    pairs = list(zip(named_arrays(params).values(), named_arrays(grads).values()))
-    for _, g in pairs:
+    grad_arrays = _fused_arrays(grads)
+    for g in grad_arrays:
         if not np.all(np.isfinite(g)):
             raise DivergenceError("diverged: non-finite gradient")
-    for p, g in pairs:
-        p -= learning_rate * g
+    for p, g in zip(_fused_arrays(params), grad_arrays):
+        if p is params.layers[0].U:
+            p[:, grads.input_ids] -= learning_rate * g
+        else:
+            p -= learning_rate * g
     return params
 
 

@@ -3,6 +3,8 @@ brute-force oracle, stream framing, and the timing model."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drnnsim.accel import (
     AcceleratorConfig,
@@ -11,6 +13,7 @@ from drnnsim.accel import (
     FramingError,
     MacArrayCore,
     StreamPacket,
+    decode_output_stream,
     dequantize,
     matvec_error_bound,
     matvec_fixed,
@@ -20,6 +23,12 @@ from drnnsim.accel import (
 )
 
 Q88 = FixedPointFormat(8, 8)
+
+# Every valid format: 1 to 16 bits in all, split any way between the parts.
+FORMATS = st.integers(1, 16).flatmap(
+    lambda bits: st.builds(lambda frac: FixedPointFormat(bits - frac, frac), st.integers(0, bits))
+)
+REALS = st.floats(min_value=-1e6, max_value=1e6)
 
 
 def int_matvec_oracle(weights, x):
@@ -101,6 +110,20 @@ class TestQuantize:
         values = rng.uniform(-1e6, 1e6, size=5000)
         tensor = FixedPointTensor.from_real(values, Q88)
         assert tensor.raw.min() >= -32768 and tensor.raw.max() <= 32767
+
+    @given(FORMATS, REALS, REALS)
+    def test_monotone(self, fmt, a, b):
+        a, b = min(a, b), max(a, b)
+        assert quantize(a, fmt) <= quantize(b, fmt)
+
+    @given(FORMATS, REALS)
+    def test_saturates_at_the_format_limits(self, fmt, x):
+        raw = quantize(x, fmt)
+        assert fmt.raw_min <= raw <= fmt.raw_max
+        if x * fmt.scale >= fmt.raw_max:
+            assert raw == fmt.raw_max
+        if x * fmt.scale <= fmt.raw_min:
+            assert raw == fmt.raw_min
 
     def test_tensor_roundtrip(self):
         values = np.array([[1.5, -0.25], [0.0, 3.75]])
@@ -288,6 +311,15 @@ class TestStreamProtocol:
         direct, _ = core.run_batch(x)
         assert direct.min() < -(2**31)  # wider than one stream word
         np.testing.assert_array_equal(stream_roundtrip(core, x), direct)
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
+    def test_int64_accumulators_roundtrip_as_word_pairs(self, values):
+        # each accumulator travels as its low then its high 32-bit word
+        words = [w for v in values for w in (v & 0xFFFFFFFF, v >> 32)]
+        decoded = decode_output_stream(to_stream(words))
+        assert decoded.dtype == np.int64
+        assert decoded.tolist() == values
 
     def test_early_last_is_a_framing_error(self):
         core, _ = self.make_core()

@@ -1,9 +1,12 @@
 """Tokenizer, vocabulary, and training-pair construction tests."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from drnnsim import corpus
 from drnnsim.corpus import (
@@ -16,6 +19,12 @@ from drnnsim.corpus import (
     make_training_pairs,
     tokenize,
 )
+
+
+def ascii_tokenize(text):
+    """The tokenizer as it was before it accepted letters and digits of every script."""
+    chunks = re.split(r"(?<=[.!?])\s+", text.lower())
+    return [words for words in (re.findall(r"[a-z0-9']+|[^\sa-z0-9']", chunk) for chunk in chunks) if words]
 
 
 class TestTokenize:
@@ -39,6 +48,16 @@ class TestTokenize:
 
     def test_inner_punctuation_kept_as_tokens(self):
         assert tokenize("well, yes.") == [["well", ",", "yes", "."]]
+
+    def test_unicode_letters_stay_in_their_word(self):
+        assert tokenize("Café naïve Ωμέγα 12³.") == [["café", "naïve", "ωμέγα", "12³", "."]]
+
+    def test_underscore_is_punctuation(self):
+        assert tokenize("snake_case") == [["snake", "_", "case"]]
+
+    @given(st.text(alphabet=st.characters(max_codepoint=127)))
+    def test_ascii_text_tokenizes_as_before(self, text):
+        assert tokenize(text) == ascii_tokenize(text)
 
 
 class TestBuildVocab:
@@ -169,3 +188,9 @@ def test_bundled_corpus_is_within_budget():
     assert 0 < len(sentences) <= 200
     vocab = build_vocab(sentences, max_words=100)
     assert vocab.size <= 100
+
+
+def test_bundled_corpus_tokenizes_as_before():
+    text = corpus.bundled_corpus_path().read_text(encoding="utf-8")
+    assert tokenize(text) == ascii_tokenize(text)
+    assert build_vocab(tokenize(text)).words == build_vocab(ascii_tokenize(text)).words

@@ -2,9 +2,13 @@
 
 import hashlib
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drnnsim import lm
 from drnnsim.training import (
@@ -52,6 +56,20 @@ class TestRoundTrip:
             np.testing.assert_array_equal(
                 arr.astype(np.float32).astype(np.float64), named_arrays(loaded)[name]
             )
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 6), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_roundtrip_over_random_shapes(self, hidden, vocab, seed):
+        params = lm.init_params(hidden=hidden, vocab=vocab, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            for dtype, cast in (("f64", np.float64), ("f32", np.float32)):
+                path = Path(tmp) / f"{dtype}.drnn"
+                save_model(params, path, dtype=dtype)
+                loaded = load_model(path)
+                assert (loaded.hidden, loaded.vocab) == (hidden, vocab)
+                got = named_arrays(loaded)
+                for name, arr in named_arrays(params).items():
+                    assert got[name].tobytes() == arr.astype(cast).astype(np.float64).tobytes(), (dtype, name)
 
     def test_double_roundtrip_produces_identical_bytes(self, tmp_path):
         params = lm.init_params(hidden=3, vocab=7, seed=5)

@@ -1,5 +1,6 @@
 """Loss, perplexity, scoring, SGD, and training-loop tests."""
 
+import copy
 import math
 
 import numpy as np
@@ -126,13 +127,61 @@ class TestScoreSentence:
             score_sentence(params, [])
 
 
+def dense_reference_step(params, pair, learning_rate):
+    """One SGD step with a dense 4H x V layer-0 input gradient.
+
+    The update as it was before that gradient went column-sparse: the
+    tokens' dZ rows are added in sentence order into a zero array of U's
+    shape, then every one of the 37 named arrays is updated by
+    ``p -= learning_rate * g``.
+    """
+    outputs, traces = lm.stack_forward_trace(params, pair.input)
+    dz_out = np.array(outputs)
+    dz_out[np.arange(len(pair.label)), pair.label] -= 1.0
+    grad_V = dz_out.T @ traces[-1].h[1:]
+    dh_in = dz_out @ params.V
+    grad_layers = []
+    for l in reversed(range(len(params.layers))):
+        layer, tr = params.layers[l], traces[l]
+        dZ = training._layer_backward(layer, tr, dh_in)
+        if l == 0:
+            grad_U = np.zeros_like(layer.U)
+            np.add.at(grad_U.T, list(pair.input), dZ)
+        else:
+            grad_U = dZ.T @ traces[l - 1].h[1:]
+            dh_in = dZ @ layer.U
+        grad_layers.append(lm.LstmLayerParams(dZ.T @ tr.h[:-1], grad_U, dZ.sum(axis=0)))
+    grads = training.Gradients(grad_layers[::-1], grad_V, np.arange(params.vocab))
+    for p, g in zip(named_arrays(params).values(), named_arrays(grads).values()):
+        p -= learning_rate * g
+
+
+def param_bytes(params):
+    return {name: arr.tobytes() for name, arr in named_arrays(params).items()}
+
+
 class TestSgdStep:
     def test_zero_gradients_leave_params_unchanged(self):
         params = lm.init_params(hidden=3, vocab=6, seed=1)
-        before = {k: v.copy() for k, v in named_arrays(params).items()}
-        sgd_step(params, zero_gradients(params), learning_rate=0.5)
-        for name, arr in named_arrays(params).items():
-            np.testing.assert_array_equal(arr, before[name])
+        before = param_bytes(params)
+        grads = zero_gradients(params)
+        assert grads.layers[0].U.shape == (12, 0) and grads.input_ids.size == 0
+        sgd_step(params, grads, learning_rate=0.5)
+        assert param_bytes(params) == before
+
+    @pytest.mark.parametrize("hidden, vocab", [(4, 8), (16, 59)])
+    def test_matches_the_dense_update_bitwise(self, hidden, vocab):
+        rng = np.random.default_rng(vocab)
+        sparse = lm.init_params(hidden=hidden, vocab=vocab, seed=3)
+        dense = copy.deepcopy(sparse)
+        for _ in range(20):
+            # more steps than 6 distinct ids: every sentence repeats a token
+            steps = int(rng.integers(7, 14))
+            pair = TrainingPair(input=rng.integers(0, 6, steps).tolist(), label=rng.integers(0, vocab, steps).tolist())
+            _, grads = bptt_gradients(sparse, pair)
+            sgd_step(sparse, grads, learning_rate=0.1)
+            dense_reference_step(dense, pair, learning_rate=0.1)
+        assert param_bytes(sparse) == param_bytes(dense)
 
     def test_update_arithmetic(self):
         params = lm.init_params(hidden=2, vocab=4, seed=0)
@@ -150,16 +199,24 @@ class TestSgdStep:
         loss_after, _ = bptt_gradients(params, pair)
         assert loss_after < loss_before
 
-    def test_non_finite_gradient_raises(self):
+    @pytest.mark.parametrize(
+        "array, bad",
+        [
+            (lambda g: g.layers[1].W, np.nan),
+            (lambda g: g.layers[0].U, np.nan),  # the compact 4H x k input gradient
+            (lambda g: g.V, np.inf),
+        ],
+        ids=["layer1.W", "layer0.U", "V"],
+    )
+    def test_non_finite_gradient_raises(self, array, bad):
         params = lm.init_params(hidden=2, vocab=4, seed=0)
-        before = {k: v.copy() for k, v in named_arrays(params).items()}
-        grads = zero_gradients(params)
-        grads.layers[1].Wf[0, 0] = np.nan
+        before = param_bytes(params)
+        _, grads = bptt_gradients(params, TrainingPair(input=[1, 3, 1], label=[3, 1, 2]))
+        array(grads)[-1, -1] = bad
         with pytest.raises(DivergenceError, match="diverged"):
             sgd_step(params, grads, learning_rate=0.1)
         # failed update must not touch anything
-        for name, arr in named_arrays(params).items():
-            np.testing.assert_array_equal(arr, before[name])
+        assert param_bytes(params) == before
 
     def test_bad_learning_rate(self):
         params = lm.init_params(hidden=2, vocab=4, seed=0)
