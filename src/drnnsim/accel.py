@@ -133,24 +133,10 @@ def _sign_extend(word: int, bits: int) -> int:
 
 def to_stream(values: Sequence[int]) -> list[StreamPacket]:
     """Serialize operands into a frame, last flag on the final packet."""
-    values = list(values)
-    if not values:
+    words = [int(v) & _WORD_MASK for v in values]
+    if not words:
         raise ValueError("cannot stream an empty batch")
-    return [
-        StreamPacket(payload=int(v) & _WORD_MASK, last=(k == len(values) - 1))
-        for k, v in enumerate(values)
-    ]
-
-
-def _emit_output_stream(y: np.ndarray) -> list[StreamPacket]:
-    # Accumulators are wider than a stream word; each value travels as a
-    # low word then a high word. One last flag closes the whole frame.
-    packets = []
-    for v in y:
-        v = int(v)
-        packets.append(StreamPacket(payload=v & _WORD_MASK))
-        packets.append(StreamPacket(payload=(v >> _WORD_BITS) & _WORD_MASK))
-    return packets[:-1] + [StreamPacket(payload=packets[-1].payload, last=True)]
+    return [StreamPacket(w) for w in words[:-1]] + [StreamPacket(words[-1], last=True)]
 
 
 def _read_frame(packets: Iterable[StreamPacket]) -> list[int]:
@@ -270,7 +256,9 @@ class MacArrayCore:
         """Consume one input frame, run the batch, emit the output frame."""
         x = self._consume_frame(packets)
         y, _ = self.run_batch(x)
-        return _emit_output_stream(y)
+        # Accumulators are wider than a stream word; each value travels as a
+        # low word then a high word. One last flag closes the whole frame.
+        return to_stream([w for v in y.tolist() for w in (v, v >> _WORD_BITS)])
 
     def _consume_frame(self, packets: Iterable[StreamPacket]) -> np.ndarray:
         chunk = self.config.chunk_len

@@ -4,6 +4,7 @@ and shifted input/label token pairs for next-word training."""
 from __future__ import annotations
 
 import re
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
@@ -41,10 +42,12 @@ def tokenize(text: str) -> list[list[str]]:
     """Split text into sentences of lowercase word tokens.
 
     Sentences break on terminal punctuation (. ! ?); punctuation marks are
-    kept as tokens of their own. Empty text yields an empty list.
+    kept as tokens of their own. The lowercased text is normalized to NFC
+    first, so a decomposed letter (base plus combining mark) stays in its
+    word. Empty text yields an empty list.
     """
     sentences = []
-    for chunk in _SENTENCE_BREAK.split(text.lower()):
+    for chunk in _SENTENCE_BREAK.split(unicodedata.normalize("NFC", text.lower())):
         words = _TOKEN.findall(chunk.replace("_", " _ "))
         if words:
             sentences.append(words)

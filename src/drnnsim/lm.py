@@ -162,9 +162,6 @@ class LstmState:
     h: list[np.ndarray]
     c: list[np.ndarray]
 
-    def copy(self) -> "LstmState":
-        return LstmState([v.copy() for v in self.h], [v.copy() for v in self.c])
-
 
 def zero_state(params: LstmStackParams) -> LstmState:
     return LstmState(
@@ -216,35 +213,32 @@ class LayerTrace:
     act: np.ndarray
 
 
+def _layer_forward(layer: LstmLayerParams, inputs, h0: np.ndarray, c0: np.ndarray) -> LayerTrace:
+    """One layer over the sequence; ``inputs`` are token ids (layer 0) or the layer below's h rows."""
+    steps, hidden = len(inputs), layer.hidden
+    tr = LayerTrace(np.empty((steps + 1, hidden)), np.empty((steps + 1, hidden)),
+                    np.empty((steps, 4 * hidden)), np.empty((steps, 4 * hidden)))
+    tr.h[0], tr.c[0] = h0, c0
+    for t, x in enumerate(inputs):
+        tr.h[t + 1], tr.c[t + 1], tr.z[t], tr.act[t] = _cell(layer, x, tr.h[t], tr.c[t])
+    return tr
+
+
 def stack_forward_trace(params: LstmStackParams, input_ids, state0: LstmState | None = None):
     """Run the 3-layer stack over a token sequence, keeping what BPTT needs.
 
-    Returns (outputs, traces): the softmax output per step and one
-    LayerTrace per layer.
+    Layer-major: each layer runs over the whole sequence before the next
+    one starts, the mirror of the backward pass. Returns (outputs, traces):
+    the softmax output per step and one LayerTrace per layer.
     """
-    ids = list(input_ids)
+    ids = [int(x) for x in input_ids]
     if not ids:
         raise ValueError("input sequence is empty")
-    for x in ids:
-        _check_token_id(int(x), params.vocab)
-    state = state0.copy() if state0 is not None else zero_state(params)
-    steps, hidden = len(ids), params.hidden
-
-    traces = [
-        LayerTrace(np.empty((steps + 1, hidden)), np.empty((steps + 1, hidden)),
-                   np.empty((steps, 4 * hidden)), np.empty((steps, 4 * hidden)))
-        for _ in params.layers
-    ]
-    for tr, h0, c0 in zip(traces, state.h, state.c):
-        tr.h[0], tr.c[0] = h0, c0
-    outputs: list[np.ndarray] = []
-    for t, x in enumerate(ids):
-        layer_input: object = int(x)
-        for l, (layer, tr) in enumerate(zip(params.layers, traces)):
-            state.h[l], state.c[l], tr.z[t], tr.act[t] = _cell(layer, layer_input, state.h[l], state.c[l])
-            tr.h[t + 1], tr.c[t + 1] = state.h[l], state.c[l]
-            layer_input = state.h[l]
-        outputs.append(softmax(params.V @ state.h[-1]))
+    state = state0 if state0 is not None else zero_state(params)
+    traces: list[LayerTrace] = []
+    for layer, h0, c0 in zip(params.layers, state.h, state.c):
+        traces.append(_layer_forward(layer, traces[-1].h[1:] if traces else ids, h0, c0))
+    outputs = [softmax(params.V @ h) for h in traces[-1].h[1:]]
     return outputs, traces
 
 
@@ -259,9 +253,13 @@ def stack_forward(params: LstmStackParams, input_ids, state0: LstmState | None =
 
 
 def stack_step(params: LstmStackParams, x_id: int, state: LstmState):
-    """Advance the stack by one token; returns (output distribution, new state)."""
-    outputs, states = stack_forward(params, [x_id], state)
-    return outputs[0], states[0]
+    """Advance the stack by one token; returns (output distribution, new state), ``state`` untouched."""
+    x, h, c = x_id, [], []
+    for layer, h_prev, c_prev in zip(params.layers, state.h, state.c):
+        x, c_l, _, _ = _cell(layer, x, h_prev, c_prev)
+        h.append(x)
+        c.append(c_l)
+    return softmax(params.V @ x), LstmState(h, c)
 
 
 def zero_params(hidden: int, vocab: int) -> LstmStackParams:

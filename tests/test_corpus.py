@@ -2,6 +2,7 @@
 
 import random
 import re
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -51,6 +52,9 @@ class TestTokenize:
 
     def test_unicode_letters_stay_in_their_word(self):
         assert tokenize("Café naïve Ωμέγα 12³.") == [["café", "naïve", "ωμέγα", "12³", "."]]
+
+    def test_decomposed_letters_stay_in_their_word(self):
+        assert tokenize(unicodedata.normalize("NFD", "naïve café")) == [["naïve", "café"]]
 
     def test_underscore_is_punctuation(self):
         assert tokenize("snake_case") == [["snake", "_", "case"]]

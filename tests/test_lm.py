@@ -289,6 +289,104 @@ class TestStackForward:
             assert np.all(out >= 0.0)
 
 
+# ---------------------------------------------------------------------------
+# Layer-major forward against the step-major cell chain, and stack_step
+# ---------------------------------------------------------------------------
+
+SCHEDULE_SHAPES = [(4, 8), (16, 59), (50, 4000)]
+SENTENCE_LEN = 13
+
+
+def schedule_case(hidden, vocab, random_state0):
+    """Parameters with non-zero biases, a sentence, and a zero or random start state."""
+    rng = np.random.default_rng(hidden * vocab)
+    params = init_params(hidden=hidden, vocab=vocab, seed=hidden)
+    for layer in params.layers:
+        layer.b[:] = rng.normal(size=4 * hidden)
+    ids = [int(x) for x in rng.integers(0, vocab, size=SENTENCE_LEN)]
+    state0 = zero_state(params)
+    if random_state0:
+        state0 = lm.LstmState([rng.normal(size=hidden) for _ in range(3)], [rng.normal(size=hidden) for _ in range(3)])
+    return params, ids, state0
+
+
+def step_major_chain(params, ids, state0):
+    """Every layer advances one cell step before the next token, as a cell-by-cell probe drives it.
+
+    Returns the outputs and, per step, each layer's (h, c, z, act).
+    """
+    h, c = list(state0.h), list(state0.c)
+    outputs, rows = [], []
+    for x in ids:
+        step = []
+        for l, layer in enumerate(params.layers):
+            h[l], c[l], z, act = lm._cell(layer, x, h[l], c[l])
+            step.append((h[l], c[l], z, act))
+            x = h[l]
+        outputs.append(softmax(params.V @ h[-1]))
+        rows.append(step)
+    return outputs, rows
+
+
+@pytest.mark.parametrize("random_state0", [False, True], ids=["zero_state0", "random_state0"])
+@pytest.mark.parametrize("hidden,vocab", SCHEDULE_SHAPES, ids=[f"h{h}_V{v}" for h, v in SCHEDULE_SHAPES])
+class TestLayerMajorSchedule:
+    def test_stack_forward_equals_step_major_chain(self, hidden, vocab, random_state0):
+        params, ids, state0 = schedule_case(hidden, vocab, random_state0)
+        ref_outputs, ref_rows = step_major_chain(params, ids, state0)
+        outputs, states = stack_forward(params, ids, state0)
+        assert len(outputs) == len(states) == len(ids)
+        for t, (out, state) in enumerate(zip(outputs, states)):
+            np.testing.assert_array_equal(out, ref_outputs[t])
+            for l in range(3):
+                np.testing.assert_array_equal(state.h[l], ref_rows[t][l][0])
+                np.testing.assert_array_equal(state.c[l], ref_rows[t][l][1])
+
+    def test_trace_rows_equal_step_major_chain(self, hidden, vocab, random_state0):
+        params, ids, state0 = schedule_case(hidden, vocab, random_state0)
+        ref_outputs, ref_rows = step_major_chain(params, ids, state0)
+        outputs, traces = stack_forward_trace(params, ids, state0)
+        for out, ref in zip(outputs, ref_outputs):
+            np.testing.assert_array_equal(out, ref)
+        for l, tr in enumerate(traces):
+            np.testing.assert_array_equal(tr.h[0], state0.h[l])
+            np.testing.assert_array_equal(tr.c[0], state0.c[l])
+            for t in range(len(ids)):
+                h, c, z, act = ref_rows[t][l]
+                np.testing.assert_array_equal(tr.h[t + 1], h)
+                np.testing.assert_array_equal(tr.c[t + 1], c)
+                np.testing.assert_array_equal(tr.z[t], z)
+                np.testing.assert_array_equal(tr.act[t], act)
+
+    def test_chained_stack_step_equals_stack_forward(self, hidden, vocab, random_state0):
+        params, ids, state0 = schedule_case(hidden, vocab, random_state0)
+        outputs, states = stack_forward(params, ids, state0)
+        state = state0
+        for x, expected in zip(ids, outputs):
+            probs, state = lm.stack_step(params, x, state)
+            np.testing.assert_array_equal(probs, expected)
+        for got, want in zip(state.h + state.c, states[-1].h + states[-1].c):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestStackStep:
+    def test_leaves_the_given_state_unchanged(self):
+        params, ids, state0 = schedule_case(4, 8, random_state0=True)
+        h_arrays, c_arrays = list(state0.h), list(state0.c)
+        before = [v.copy() for v in state0.h + state0.c]
+        _, new = lm.stack_step(params, ids[0], state0)
+        assert all(a is b for a, b in zip(state0.h + state0.c, h_arrays + c_arrays))
+        for v, old in zip(state0.h + state0.c, before):
+            np.testing.assert_array_equal(v, old)
+        assert not any(np.array_equal(a, b) for a, b in zip(new.h, state0.h))
+
+    @pytest.mark.parametrize("x_id", [-1, 8, 100])
+    def test_rejects_out_of_range_id(self, x_id):
+        params, _, state0 = schedule_case(4, 8, random_state0=False)
+        with pytest.raises(ValueError):
+            lm.stack_step(params, x_id, state0)
+
+
 def test_init_params_shapes_and_bounds():
     params = init_params(hidden=7, vocab=19, seed=1)
     assert params.V.shape == (19, 7)
