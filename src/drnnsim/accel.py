@@ -12,8 +12,9 @@ final packet carries a last flag, mirroring a DMA burst transfer.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -83,10 +84,9 @@ class FixedPointTensor:
 
     @classmethod
     def from_real(cls, values, fmt: FixedPointFormat) -> "FixedPointTensor":
-        values = np.asarray(values, dtype=np.float64)
-        if np.isnan(values).any():
+        raw = np.clip(np.rint(np.asarray(values, dtype=np.float64) * fmt.scale), fmt.raw_min, fmt.raw_max)
+        if np.isnan(raw).any():  # NaN passes through rint and clip
             raise ValueError("cannot quantize NaN")
-        raw = np.clip(np.round(values * fmt.scale), fmt.raw_min, fmt.raw_max)
         return cls(raw=raw.astype(np.int64), fmt=fmt)
 
     def to_real(self) -> np.ndarray:
@@ -114,55 +114,57 @@ def matvec_error_bound(w_max: float, x_max: float, chunk_len: int, fmt: FixedPoi
 
 _WORD_BITS = 32
 _WORD_MASK = (1 << _WORD_BITS) - 1
+_WORD_SIGN = 1 << (_WORD_BITS - 1)
+
+PACKET = np.dtype([("payload", "<i8"), ("last", "?")])  # one record per packet
 
 
 class FramingError(RuntimeError):
     """Raised when a packet frame violates the last-flag protocol."""
 
 
-@dataclass(frozen=True)
-class StreamPacket:
-    payload: int  # 32-bit word, two's complement, stored masked
+class StreamPacket(NamedTuple):
+    """One hand-built packet; a list of these is a frame too."""
+
+    payload: int  # 32-bit word, two's complement; only the low 32 bits are read
     last: bool = False
 
 
-def _sign_extend(word: int, bits: int) -> int:
-    sign = 1 << (bits - 1)
-    return (word & ((1 << bits) - 1)) - ((word & sign) << 1)
-
-
-def to_stream(values: Sequence[int]) -> list[StreamPacket]:
-    """Serialize operands into a frame, last flag on the final packet."""
-    words = [int(v) & _WORD_MASK for v in values]
-    if not words:
+def to_stream(values) -> np.recarray:
+    """Serialize integer operands into a ``PACKET`` frame, last flag on the final packet."""
+    values = np.asarray(values)
+    if not values.size:
         raise ValueError("cannot stream an empty batch")
-    return [StreamPacket(w) for w in words[:-1]] + [StreamPacket(words[-1], last=True)]
+    if values.dtype.kind not in "biu":
+        raise ValueError(f"stream values must be integers, not {values.dtype}")
+    frame = np.zeros(values.size, dtype=PACKET)
+    frame["payload"] = values.astype(np.int64, copy=False).ravel() & _WORD_MASK
+    frame["last"][-1] = True
+    return frame.view(np.recarray)
 
 
-def _read_frame(packets: Iterable[StreamPacket]) -> list[int]:
-    """Payload words of one frame, which must end with its only last flag."""
-    words = []
-    closed = False
-    for packet in packets:
-        if closed:
-            raise FramingError("packet after last flag")
-        words.append(packet.payload & _WORD_MASK)
-        closed = packet.last
-    if not closed:
+def _read_frame(packets: Iterable[StreamPacket] | np.ndarray) -> np.ndarray:
+    """Payload words (int64) of one frame, which must end with its only last flag."""
+    if not (isinstance(packets, np.ndarray) and packets.dtype == PACKET and packets.ndim == 1):
+        try:
+            packets = np.array([(operator.index(p.payload), bool(p.last)) for p in packets], PACKET)
+        except (AttributeError, TypeError, ValueError, OverflowError) as err:
+            raise FramingError(f"malformed packet: {err}") from err
+    frame = np.asarray(packets)  # a plain ndarray: recarray field reads run in Python
+    last = frame["last"]
+    if last[:-1].any():
+        raise FramingError("packet after last flag")
+    if not last.size or not last[-1]:
         raise FramingError("missing last flag at end of frame")
-    return words
+    return frame["payload"] & _WORD_MASK
 
 
-def decode_output_stream(packets: Iterable[StreamPacket]) -> np.ndarray:
+def decode_output_stream(packets: Iterable[StreamPacket] | np.ndarray) -> np.ndarray:
     """Reassemble accumulator values from an output frame (framing-checked)."""
     words = _read_frame(packets)
     if len(words) % 2 != 0:
         raise FramingError(f"odd output frame length {len(words)}")
-    values = [
-        _sign_extend(lo | (hi << _WORD_BITS), 2 * _WORD_BITS)
-        for lo, hi in zip(words[0::2], words[1::2])
-    ]
-    return np.asarray(values, dtype=np.int64)
+    return words[0::2] | (words[1::2] << _WORD_BITS)  # int64 wraps to two's complement
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +221,7 @@ class MacArrayCore:
         if weights.shape != expected:
             raise ValueError(f"weight shape {weights.shape} != {expected}")
         _check_operand_range(weights, "weight")
-        self._weights = weights.astype(np.int64).copy()
+        self._weights = weights.astype(np.int64)  # astype copies
 
     def run_batch(self, x) -> tuple[np.ndarray, BatchReport]:
         """One batch: every lane accumulates one product per cycle.
@@ -252,27 +254,26 @@ class MacArrayCore:
             gops=(mult_ops + add_ops) / latency_ns,
         )
 
-    def stream_batch(self, packets: Iterable[StreamPacket]) -> list[StreamPacket]:
+    def stream_batch(self, packets: Iterable[StreamPacket] | np.ndarray) -> np.recarray:
         """Consume one input frame, run the batch, emit the output frame."""
         x = self._consume_frame(packets)
         y, _ = self.run_batch(x)
-        # Accumulators are wider than a stream word; each value travels as a
-        # low word then a high word. One last flag closes the whole frame.
-        return to_stream([w for v in y.tolist() for w in (v, v >> _WORD_BITS)])
+        # Each accumulator travels as its low word then its high word; one last flag closes the frame.
+        return to_stream(np.array((y, y >> _WORD_BITS)).T)
 
-    def _consume_frame(self, packets: Iterable[StreamPacket]) -> np.ndarray:
+    def _consume_frame(self, packets: Iterable[StreamPacket] | np.ndarray) -> np.ndarray:
         chunk = self.config.chunk_len
         words = _read_frame(packets)
         if len(words) < chunk:
             raise FramingError(f"last flag after {len(words)} of {chunk} words")
         if len(words) > chunk:
             raise FramingError(f"frame exceeds {chunk} words")
-        return np.asarray([_sign_extend(w, _WORD_BITS) for w in words], dtype=np.int64)
+        return (words ^ _WORD_SIGN) - _WORD_SIGN  # sign-extend each 32-bit word
 
 
 def stream_roundtrip(core: MacArrayCore, x) -> np.ndarray:
     """Drive one batch through the stream interface end to end."""
-    return decode_output_stream(core.stream_batch(to_stream(np.asarray(x).tolist())))
+    return decode_output_stream(core.stream_batch(to_stream(x)))
 
 
 def matvec_fixed(core: MacArrayCore, w_real, x_real, fmt: FixedPointFormat):
@@ -289,8 +290,7 @@ def matvec_fixed(core: MacArrayCore, w_real, x_real, fmt: FixedPointFormat):
 
 
 def _check_operand_range(values: np.ndarray, label: str) -> None:
-    if not np.issubdtype(values.dtype, np.integer):
-        if not np.all(values == np.round(values)):
-            raise ValueError(f"{label} values must be integers")
+    if not np.issubdtype(values.dtype, np.integer) and not np.all(values == np.round(values)):
+        raise ValueError(f"{label} values must be integers")
     if values.size and (values.min() < _INT16_MIN or values.max() > _INT16_MAX):
         raise ValueError(f"{label} values exceed the 16-bit signed operand range")

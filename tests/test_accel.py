@@ -12,6 +12,7 @@ from drnnsim.accel import (
     FixedPointTensor,
     FramingError,
     MacArrayCore,
+    PACKET,
     StreamPacket,
     decode_output_stream,
     dequantize,
@@ -125,6 +126,17 @@ class TestQuantize:
         if x * fmt.scale <= fmt.raw_min:
             assert raw == fmt.raw_min
 
+    @settings(deadline=None)
+    @given(FORMATS, st.lists(REALS, min_size=1, max_size=20), st.lists(st.integers(-(2**17), 2**17), max_size=20))
+    def test_raw_values_match_np_round_bitwise(self, fmt, reals, ties):
+        # np.round with 0 decimals rounds half to even like rint; (k + 0.5) / 2^n are exact ties
+        values = np.array(reals + [(k + 0.5) / fmt.scale for k in ties])
+        expected = np.clip(np.round(values * fmt.scale), fmt.raw_min, fmt.raw_max).astype(np.int64)
+        raw = FixedPointTensor.from_real(values, fmt).raw
+        assert raw.dtype == np.int64
+        np.testing.assert_array_equal(raw, expected)
+        assert [quantize(float(v), fmt) for v in values] == expected.tolist()
+
     def test_tensor_roundtrip(self):
         values = np.array([[1.5, -0.25], [0.0, 3.75]])
         tensor = FixedPointTensor.from_real(values, Q88)
@@ -168,6 +180,18 @@ class TestMacArrayCore:
         core.load_weights(w2)
         y2, _ = core.run_batch(x)
         np.testing.assert_array_equal(y2, w2 @ x)
+
+    def test_load_weights_owns_its_weights(self):
+        # an int64 matrix needs no cast, so only a copy keeps the caller's writes out
+        rng = np.random.default_rng(12)
+        weights = rng.integers(-(2**15), 2**15, size=(50, 50), dtype=np.int64)
+        x = rng.integers(-(2**15), 2**15, size=50)
+        expected = int_matvec_oracle(weights.tolist(), x.tolist())
+        core = MacArrayCore()
+        core.load_weights(weights)
+        weights[:] = 7
+        y, _ = core.run_batch(x)
+        assert y.tolist() == expected
 
     def test_identity_times_scale(self):
         core = MacArrayCore()
@@ -357,6 +381,169 @@ class TestStreamProtocol:
     def test_empty_batch_cannot_be_streamed(self):
         with pytest.raises(ValueError):
             to_stream([])
+
+
+# ---------------------------------------------------------------------------
+# Plain-Python reference: the per-packet stream path the record frames replace
+# ---------------------------------------------------------------------------
+
+WORD_MASK = 0xFFFFFFFF
+
+
+def ref_sign_extend(word, bits):
+    sign = 1 << (bits - 1)
+    return (word & ((1 << bits) - 1)) - ((word & sign) << 1)
+
+
+def ref_to_stream(values):
+    words = [int(v) & WORD_MASK for v in values]
+    if not words:
+        raise ValueError("cannot stream an empty batch")
+    return [StreamPacket(w) for w in words[:-1]] + [StreamPacket(words[-1], last=True)]
+
+
+def ref_read_frame(packets):
+    words = []
+    closed = False
+    for packet in packets:
+        if closed:
+            raise FramingError("packet after last flag")
+        words.append(int(packet.payload) & WORD_MASK)
+        closed = packet.last
+    if not closed:
+        raise FramingError("missing last flag at end of frame")
+    return words
+
+
+def ref_decode_output_stream(packets):
+    words = ref_read_frame(packets)
+    if len(words) % 2 != 0:
+        raise FramingError(f"odd output frame length {len(words)}")
+    return [ref_sign_extend(lo | (hi << 32), 64) for lo, hi in zip(words[0::2], words[1::2])]
+
+
+def ref_output_frame(accumulators):
+    return ref_to_stream([w for v in accumulators for w in (v, v >> 32)])
+
+
+def as_pairs(frame):
+    return [(int(p.payload), bool(p.last)) for p in frame]
+
+
+def error_text(fn, *args):
+    try:
+        fn(*args)
+    except FramingError as err:
+        return str(err)
+    return None
+
+
+OPERANDS = st.lists(st.integers(-(2**15), 2**15 - 1), min_size=50, max_size=50)
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+class TestStreamMatchesReference:
+    def make_core(self, seed):
+        core = MacArrayCore()
+        core.load_weights(np.random.default_rng(seed).integers(-(2**15), 2**15, size=(50, 50)))
+        return core
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(-(2**15), 2**15), min_size=1, max_size=120))
+    def test_input_frames_equal_packet_for_packet(self, values):
+        frame = to_stream(np.array(values))
+        assert frame.dtype == PACKET
+        assert as_pairs(frame) == as_pairs(ref_to_stream(values))
+
+    @settings(deadline=None)
+    @given(st.lists(INT64, min_size=50, max_size=50))
+    def test_output_frames_equal_packet_for_packet(self, accumulators):
+        # any int64 accumulator vector, fed to the real stream_batch in place of the product
+        core = self.make_core(0)
+        y = np.array(accumulators, dtype=np.int64)
+        core.run_batch = lambda x: (y, core.report())
+        frame = core.stream_batch(to_stream(np.zeros(50, dtype=np.int64)))
+        assert as_pairs(frame) == as_pairs(ref_output_frame(accumulators))
+        assert decode_output_stream(frame).tolist() == accumulators
+        assert ref_decode_output_stream(frame) == accumulators
+
+    @settings(deadline=None, max_examples=50)
+    @given(OPERANDS, st.integers(0, 2**32 - 1))
+    def test_roundtrip_equals_run_batch_and_the_reference_decode(self, x, seed):
+        core = self.make_core(seed)
+        direct, _ = core.run_batch(np.array(x))
+        through = stream_roundtrip(core, x)
+        assert through.dtype == np.int64
+        np.testing.assert_array_equal(through, direct)
+        # hand-built input frame in, reference decode out
+        assert ref_decode_output_stream(core.stream_batch(ref_to_stream(x))) == through.tolist()
+
+    @settings(deadline=None)
+    @given(st.lists(st.booleans(), max_size=12), st.lists(st.integers(0, 2**32 - 1), min_size=12, max_size=12))
+    def test_last_flag_patterns_raise_the_reference_message(self, flags, words):
+        packets = [StreamPacket(w, last=f) for w, f in zip(words, flags)]
+        expected = error_text(ref_decode_output_stream, packets)
+        assert error_text(decode_output_stream, packets) == expected
+        assert error_text(decode_output_stream, iter(packets)) == expected
+        assert error_text(decode_output_stream, np.array(packets, dtype=PACKET)) == expected
+
+    @settings(deadline=None, max_examples=50)
+    @given(OPERANDS)
+    def test_a_generator_of_packets_decodes_like_a_list(self, x):
+        core = self.make_core(4)
+        packets = ref_to_stream(x)
+        out = core.stream_batch(p for p in packets)
+        assert as_pairs(out) == as_pairs(core.stream_batch(packets))
+        out_packets = [StreamPacket(int(p.payload), bool(p.last)) for p in out]
+        np.testing.assert_array_equal(
+            decode_output_stream(p for p in out_packets), decode_output_stream(out_packets)
+        )
+
+
+class TestMalformedStreamInput:
+    def frame_with(self, payload):
+        # a well-formed 50-word input frame with one bad payload in the middle
+        packets = [StreamPacket(k, last=(k == 49)) for k in range(50)]
+        packets[20] = StreamPacket(payload)
+        return packets
+
+    @pytest.mark.parametrize("payload", ["x", "7", 1.5, 7.0, None, 2**63, -(2**63) - 1],
+                             ids=["str", "numeric-str", "float", "integral-float", "none", "above-int64", "below-int64"])
+    def test_bad_payload_is_a_framing_error(self, payload):
+        core = MacArrayCore()
+        core.load_weights(np.ones((50, 50), dtype=np.int64))
+        with pytest.raises(FramingError, match="malformed packet"):
+            core.stream_batch(self.frame_with(payload))
+        with pytest.raises(FramingError, match="malformed packet"):
+            decode_output_stream([StreamPacket(0), StreamPacket(payload, last=True)])
+
+    @pytest.mark.parametrize("frame", [[0, 1], np.zeros((2, 2), dtype=PACKET), np.zeros((), dtype=PACKET)],
+                             ids=["ints", "2-d-records", "0-d-record"])
+    def test_frame_that_is_not_a_packet_sequence_is_a_framing_error(self, frame):
+        with pytest.raises(FramingError, match="malformed packet"):
+            decode_output_stream(frame)
+
+    def test_integer_payloads_keep_32_bit_masking(self):
+        # -1 is the word 0xFFFFFFFF: a low word of all ones and a zero high word
+        assert decode_output_stream([StreamPacket(-1), StreamPacket(0, last=True)]).tolist() == [WORD_MASK]
+        assert decode_output_stream([StreamPacket(np.int64(-1)), StreamPacket(2**40 - 1, last=True)]).tolist() == [-1]
+        core = MacArrayCore()
+        core.load_weights(np.eye(50, dtype=np.int64))
+        packets = self.frame_with(-1)
+        packets[21] = StreamPacket(WORD_MASK)  # the same word, written unsigned
+        y = decode_output_stream(core.stream_batch(packets))
+        assert y[20] == y[21] == -1
+
+    @pytest.mark.parametrize("values", [[1.5], [1.0], np.array([0.5, 2.0]), ["7"], [None]],
+                             ids=["float", "integral-float", "float-array", "str", "none"])
+    def test_non_integer_operands_cannot_be_streamed(self, values):
+        with pytest.raises(ValueError, match="integers"):
+            to_stream(values)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint32, np.uint64, np.bool_])
+    def test_operands_of_any_integer_dtype_stream_like_python_ints(self, dtype):
+        values = np.array([0, 1, 100, -1, -100]).astype(dtype)
+        assert as_pairs(to_stream(values)) == as_pairs(ref_to_stream(values.tolist()))
 
 
 # ---------------------------------------------------------------------------
