@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -40,16 +41,17 @@ class FixedPointFormat:
         if not 1 <= self.int_bits + self.frac_bits <= _OPERAND_BITS:
             raise ValueError(f"int_bits + frac_bits must be in [1, {_OPERAND_BITS}]")
 
-    @property
+    # Cached in the instance __dict__: fields, equality, hash and repr are untouched.
+    @cached_property
     def scale(self) -> int:
         return 1 << self.frac_bits
 
-    @property
+    @cached_property
     def raw_min(self) -> int:
         # Nominal Q(m,n) range, capped to the 16-bit signed operand width.
         return max(-(1 << (self.int_bits + self.frac_bits)), _INT16_MIN)
 
-    @property
+    @cached_property
     def raw_max(self) -> int:
         return min((1 << (self.int_bits + self.frac_bits)) - 1, _INT16_MAX)
 
@@ -84,9 +86,17 @@ class FixedPointTensor:
 
     @classmethod
     def from_real(cls, values, fmt: FixedPointFormat) -> "FixedPointTensor":
-        raw = np.clip(np.rint(np.asarray(values, dtype=np.float64) * fmt.scale), fmt.raw_min, fmt.raw_max)
-        if np.isnan(raw).any():  # NaN passes through rint and clip
-            raise ValueError("cannot quantize NaN")
+        values = np.asarray(values)
+        if values.dtype.kind not in "biuf":
+            raise ValueError(f"cannot quantize {values.dtype} values")
+        raw = np.rint(np.multiply(values, fmt.scale, dtype=np.float64))
+        # Clip only when something is out of range. A NaN fails both comparisons, so it
+        # gets here too; an empty array has no min or max, and clipping it is free.
+        if not (raw.size and fmt.raw_min <= np.minimum.reduce(raw, None)
+                and np.maximum.reduce(raw, None) <= fmt.raw_max):
+            raw = np.clip(raw, fmt.raw_min, fmt.raw_max)
+            if np.isnan(raw).any():  # NaN passes through rint and clip
+                raise ValueError("cannot quantize NaN")
         return cls(raw=raw.astype(np.int64), fmt=fmt)
 
     def to_real(self) -> np.ndarray:
@@ -114,9 +124,11 @@ def matvec_error_bound(w_max: float, x_max: float, chunk_len: int, fmt: FixedPoi
 
 _WORD_BITS = 32
 _WORD_MASK = (1 << _WORD_BITS) - 1
-_WORD_SIGN = 1 << (_WORD_BITS - 1)
 
-PACKET = np.dtype([("payload", "<i8"), ("last", "?")])  # one record per packet
+# One record per packet. A frame is a plain ndarray of this dtype; the np.record
+# type makes each element read as a packet (frame[-1].last) without a recarray.
+PACKET = np.dtype((np.record, [("payload", "<i8"), ("last", "?")]))
+_WORD_SHIFTS = np.array([0, _WORD_BITS])  # an accumulator's low word, then its high word
 
 
 class FramingError(RuntimeError):
@@ -130,7 +142,7 @@ class StreamPacket(NamedTuple):
     last: bool = False
 
 
-def to_stream(values) -> np.recarray:
+def to_stream(values) -> np.ndarray:
     """Serialize integer operands into a ``PACKET`` frame, last flag on the final packet."""
     values = np.asarray(values)
     if not values.size:
@@ -140,7 +152,7 @@ def to_stream(values) -> np.recarray:
     frame = np.zeros(values.size, dtype=PACKET)
     frame["payload"] = values.astype(np.int64, copy=False).ravel() & _WORD_MASK
     frame["last"][-1] = True
-    return frame.view(np.recarray)
+    return frame
 
 
 def _read_frame(packets: Iterable[StreamPacket] | np.ndarray) -> np.ndarray:
@@ -150,13 +162,12 @@ def _read_frame(packets: Iterable[StreamPacket] | np.ndarray) -> np.ndarray:
             packets = np.array([(operator.index(p.payload), bool(p.last)) for p in packets], PACKET)
         except (AttributeError, TypeError, ValueError, OverflowError) as err:
             raise FramingError(f"malformed packet: {err}") from err
-    frame = np.asarray(packets)  # a plain ndarray: recarray field reads run in Python
-    last = frame["last"]
-    if last[:-1].any():
-        raise FramingError("packet after last flag")
-    if not last.size or not last[-1]:
+    last = packets["last"]
+    if np.count_nonzero(last) != 1 or not last[-1]:  # an empty frame has no flag, so it lands here too
+        if last[:-1].any():
+            raise FramingError("packet after last flag")
         raise FramingError("missing last flag at end of frame")
-    return frame["payload"] & _WORD_MASK
+    return packets["payload"] & _WORD_MASK
 
 
 def decode_output_stream(packets: Iterable[StreamPacket] | np.ndarray) -> np.ndarray:
@@ -191,6 +202,21 @@ class AcceleratorConfig:
     def rows(self) -> int:
         """Output rows per batch, one per multiplier lane."""
         return self.num_pes * self.lanes_per_pe
+
+    @cached_property
+    def _batch_report(self) -> BatchReport:
+        # The config is frozen, so every batch under it has this one report.
+        mult_ops = self.rows * self.chunk_len
+        add_ops = self.rows * self.chunk_len
+        latency_cycles = self.chunk_len + self.pipeline_fill
+        latency_ns = latency_cycles * 1000.0 / self.clock_mhz
+        return BatchReport(
+            mult_ops=mult_ops,
+            add_ops=add_ops,
+            latency_cycles=latency_cycles,
+            latency_ns=latency_ns,
+            gops=(mult_ops + add_ops) / latency_ns,
+        )
 
 
 @dataclass(frozen=True)
@@ -237,29 +263,18 @@ class MacArrayCore:
         if x.shape != (self.config.chunk_len,):
             raise ValueError(f"input shape {x.shape} != ({self.config.chunk_len},)")
         _check_operand_range(x, "input")
-        return self._weights @ x.astype(np.int64), self.report()
+        return self._weights @ x.astype(np.int64, copy=False), self.report()
 
     def report(self) -> BatchReport:
         """Timing/operation report for one batch under the current config."""
-        cfg = self.config
-        mult_ops = cfg.rows * cfg.chunk_len
-        add_ops = cfg.rows * cfg.chunk_len
-        latency_cycles = cfg.chunk_len + cfg.pipeline_fill
-        latency_ns = latency_cycles * 1000.0 / cfg.clock_mhz
-        return BatchReport(
-            mult_ops=mult_ops,
-            add_ops=add_ops,
-            latency_cycles=latency_cycles,
-            latency_ns=latency_ns,
-            gops=(mult_ops + add_ops) / latency_ns,
-        )
+        return self.config._batch_report
 
-    def stream_batch(self, packets: Iterable[StreamPacket] | np.ndarray) -> np.recarray:
+    def stream_batch(self, packets: Iterable[StreamPacket] | np.ndarray) -> np.ndarray:
         """Consume one input frame, run the batch, emit the output frame."""
         x = self._consume_frame(packets)
         y, _ = self.run_batch(x)
         # Each accumulator travels as its low word then its high word; one last flag closes the frame.
-        return to_stream(np.array((y, y >> _WORD_BITS)).T)
+        return to_stream(y[:, None] >> _WORD_SHIFTS)
 
     def _consume_frame(self, packets: Iterable[StreamPacket] | np.ndarray) -> np.ndarray:
         chunk = self.config.chunk_len
@@ -268,7 +283,7 @@ class MacArrayCore:
             raise FramingError(f"last flag after {len(words)} of {chunk} words")
         if len(words) > chunk:
             raise FramingError(f"frame exceeds {chunk} words")
-        return (words ^ _WORD_SIGN) - _WORD_SIGN  # sign-extend each 32-bit word
+        return words.astype(np.int32).astype(np.int64)  # the int32 cast wraps: sign-extends each word
 
 
 def stream_roundtrip(core: MacArrayCore, x) -> np.ndarray:
@@ -290,7 +305,12 @@ def matvec_fixed(core: MacArrayCore, w_real, x_real, fmt: FixedPointFormat):
 
 
 def _check_operand_range(values: np.ndarray, label: str) -> None:
-    if not np.issubdtype(values.dtype, np.integer) and not np.all(values == np.round(values)):
+    kind = values.dtype.kind
+    if kind not in "biuf":
+        raise ValueError(f"{label} values must be integers, not {values.dtype}")
+    if kind == "f" and not np.all(values == np.round(values)):
         raise ValueError(f"{label} values must be integers")
-    if values.size and (values.min() < _INT16_MIN or values.max() > _INT16_MAX):
+    if values.size and (
+        np.minimum.reduce(values, None) < _INT16_MIN or np.maximum.reduce(values, None) > _INT16_MAX
+    ):
         raise ValueError(f"{label} values exceed the 16-bit signed operand range")

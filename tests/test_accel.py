@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from drnnsim.accel import (
     AcceleratorConfig,
+    BatchReport,
     FixedPointFormat,
     FixedPointTensor,
     FramingError,
@@ -30,6 +32,15 @@ FORMATS = st.integers(1, 16).flatmap(
     lambda bits: st.builds(lambda frac: FixedPointFormat(bits - frac, frac), st.integers(0, bits))
 )
 REALS = st.floats(min_value=-1e6, max_value=1e6)
+
+# Arrays that are neither bool, integer nor float: none of them is an operand.
+NON_REAL = {
+    "complex": lambda shape: np.full(shape, 1 + 5j),
+    "str": lambda shape: np.full(shape, "1"),
+    "object-int": lambda shape: np.full(shape, 1, dtype=object),
+    "none": lambda shape: np.full(shape, None),
+    "datetime": lambda shape: np.zeros(shape, dtype="datetime64[s]"),
+}
 
 
 def int_matvec_oracle(weights, x):
@@ -67,6 +78,13 @@ class TestFixedPointFormat:
             FixedPointFormat(10, 8)
         with pytest.raises(ValueError):
             FixedPointFormat(-1, 4)
+
+    def test_cached_bounds_leave_equality_hash_and_repr_alone(self):
+        fresh, read = FixedPointFormat(8, 8), FixedPointFormat(8, 8)
+        assert (read.scale, read.raw_min, read.raw_max) == (256, -32768, 32767)
+        assert fresh == read and hash(fresh) == hash(read)
+        assert repr(read) == "FixedPointFormat(int_bits=8, frac_bits=8)"
+        assert read != FixedPointFormat(4, 8)
 
 
 class TestQuantize:
@@ -137,6 +155,33 @@ class TestQuantize:
         np.testing.assert_array_equal(raw, expected)
         assert [quantize(float(v), fmt) for v in values] == expected.tolist()
 
+    @settings(deadline=None)
+    @given(
+        FORMATS,
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+            elements=st.floats(-1.5, 1.5) | st.sampled_from([np.inf, -np.inf, np.nan, 0.5, -0.5]),
+        ),
+    )
+    def test_from_real_equals_the_clip_form_bitwise(self, fmt, unit):
+        # in range, saturating, +-inf, NaN, 0-d and empty, scaled to each format's range
+        values = unit * (fmt.raw_max / fmt.scale)
+        if np.isnan(values).any():
+            with pytest.raises(ValueError, match="NaN"):
+                FixedPointTensor.from_real(values, fmt)
+            return
+        expected = np.clip(np.rint(np.asarray(values, dtype=np.float64) * fmt.scale), fmt.raw_min, fmt.raw_max)
+        expected = expected.astype(np.int64)
+        raw = FixedPointTensor.from_real(values, fmt).raw
+        assert type(raw) is type(expected) and raw.dtype == expected.dtype and raw.shape == expected.shape
+        np.testing.assert_array_equal(raw, expected)
+
+    @pytest.mark.parametrize("kind", NON_REAL)
+    def test_non_real_values_cannot_be_quantized(self, kind):
+        with pytest.raises(ValueError, match="cannot quantize"):
+            FixedPointTensor.from_real(NON_REAL[kind]((3,)), Q88)
+
     def test_tensor_roundtrip(self):
         values = np.array([[1.5, -0.25], [0.0, 3.75]])
         tensor = FixedPointTensor.from_real(values, Q88)
@@ -165,6 +210,18 @@ class TestMacArrayCore:
         weights[0, 0] = 2**15
         with pytest.raises(ValueError, match="16-bit"):
             core.load_weights(weights)
+
+    @pytest.mark.parametrize("kind", NON_REAL)
+    def test_non_real_weights_are_rejected(self, kind):
+        with pytest.raises(ValueError, match="weight values must be integers"):
+            MacArrayCore().load_weights(NON_REAL[kind]((50, 50)))
+
+    @pytest.mark.parametrize("kind", NON_REAL)
+    def test_non_real_inputs_are_rejected(self, kind):
+        core = MacArrayCore()
+        core.load_weights(np.ones((50, 50), dtype=np.int64))
+        with pytest.raises(ValueError, match="input values must be integers"):
+            core.run_batch(NON_REAL[kind]((50,)))
 
     def test_loaded_matrix_drives_the_output(self):
         config = AcceleratorConfig()
@@ -292,6 +349,30 @@ class TestTimingModel:
         assert report.latency_cycles == 55
         assert report.latency_ns == 275.0
 
+    def test_report_equals_a_fresh_batch_report(self):
+        for config in (
+            AcceleratorConfig(),
+            AcceleratorConfig(num_pes=2, lanes_per_pe=3, chunk_len=4),
+            AcceleratorConfig(clock_mhz=333.0, pipeline_fill=7),
+            AcceleratorConfig(num_pes=1, lanes_per_pe=50, chunk_len=50, clock_mhz=100.0),
+        ):
+            ops = config.rows * config.chunk_len
+            cycles = config.chunk_len + config.pipeline_fill
+            latency_ns = cycles * 1000.0 / config.clock_mhz
+            expected = BatchReport(ops, ops, cycles, latency_ns, 2 * ops / latency_ns)
+            core = MacArrayCore(config)
+            core.load_weights(np.ones((config.rows, config.chunk_len), dtype=np.int64))
+            assert core.report() == expected
+            assert core.run_batch(np.ones(config.chunk_len, dtype=np.int64))[1] == expected
+
+    def test_report_follows_a_reassigned_config(self):
+        core = MacArrayCore()
+        assert core.report().gops == 20.0
+        core.config = AcceleratorConfig(clock_mhz=100.0)
+        assert core.report().gops == 10.0
+        core.load_weights(np.ones((50, 50), dtype=np.int64))
+        assert core.run_batch(np.ones(50, dtype=np.int64))[1].gops == 10.0
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AcceleratorConfig(lanes_per_pe=0)
@@ -320,6 +401,26 @@ class TestStreamProtocol:
         packets = to_stream(list(range(50)))
         assert sum(p.last for p in packets) == 1
         assert packets[-1].last
+
+    def test_frames_are_plain_arrays_of_packet_records(self):
+        core, rng = self.make_core(seed=6)
+        for frame in (to_stream(rng.integers(-(2**15), 2**15, size=50)), core.stream_batch(to_stream(np.arange(50)))):
+            assert type(frame) is np.ndarray and frame.dtype == PACKET
+            assert [bool(p.last) for p in frame] == [False] * (len(frame) - 1) + [True]
+            assert [int(p.payload) for p in frame] == frame["payload"].tolist()
+
+    def test_recarray_views_and_packet_lists_decode_alike(self):
+        core, rng = self.make_core(seed=11)
+        x = rng.integers(-(2**15), 2**15, size=50)
+        frame = to_stream(x)
+        packets = [StreamPacket(int(p.payload), bool(p.last)) for p in frame]
+        out = core.stream_batch(frame)
+        assert core.stream_batch(frame.view(np.recarray)).tolist() == out.tolist()
+        assert core.stream_batch(packets).tolist() == out.tolist()
+        expected = decode_output_stream(out)
+        out_packets = [StreamPacket(int(p.payload), bool(p.last)) for p in out]
+        np.testing.assert_array_equal(decode_output_stream(out.view(np.recarray)), expected)
+        np.testing.assert_array_equal(decode_output_stream(out_packets), expected)
 
     def test_roundtrip_equals_run_batch(self):
         core, rng = self.make_core(seed=8)
