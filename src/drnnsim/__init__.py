@@ -8,7 +8,6 @@ from .accel import (
     FixedPointTensor,
     FramingError,
     MacArrayCore,
-    StreamPacket,
     dequantize,
     matvec_fixed,
     quantize,

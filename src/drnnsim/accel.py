@@ -3,19 +3,19 @@
 The core is a MAC array of ``num_pes`` processing elements with
 ``lanes_per_pe`` multiplier lanes each; every lane owns one weight row and
 consumes one operand pair per cycle, so a batch (one matrix-vector product
-over ``chunk_len`` operands) takes ``chunk_len + pipeline_fill`` cycles.
-Operands are 16-bit signed fixed point; accumulators are modeled as exact
-wide integers (hardware width >= 40 bits, never overflowed at these
-shapes). Data enters and leaves through a packetized word stream whose
-final packet carries a last flag, mirroring a DMA burst transfer.
+over ``chunk_len`` operands) takes ``chunk_len`` cycles. Operands are
+16-bit signed fixed point; accumulators are modeled as exact wide integers
+(hardware width >= 40 bits, never overflowed at these shapes). Data enters
+and leaves as stream frames: 1-D arrays of ``PACKET`` records, one 32-bit
+word plus its last flag per transfer, the flag set on the final packet only,
+mirroring an AXI4-Stream burst.
 """
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -135,13 +135,6 @@ class FramingError(RuntimeError):
     """Raised when a packet frame violates the last-flag protocol."""
 
 
-class StreamPacket(NamedTuple):
-    """One hand-built packet; a list of these is a frame too."""
-
-    payload: int  # 32-bit word, two's complement; only the low 32 bits are read
-    last: bool = False
-
-
 def to_stream(values) -> np.ndarray:
     """Serialize integer operands into a ``PACKET`` frame, last flag on the final packet."""
     values = np.asarray(values)
@@ -155,24 +148,22 @@ def to_stream(values) -> np.ndarray:
     return frame
 
 
-def _read_frame(packets: Iterable[StreamPacket] | np.ndarray) -> np.ndarray:
+def _read_frame(frame: np.ndarray) -> np.ndarray:
     """Payload words (int64) of one frame, which must end with its only last flag."""
-    if not (isinstance(packets, np.ndarray) and packets.dtype == PACKET and packets.ndim == 1):
-        try:
-            packets = np.array([(operator.index(p.payload), bool(p.last)) for p in packets], PACKET)
-        except (AttributeError, TypeError, ValueError, OverflowError) as err:
-            raise FramingError(f"malformed packet: {err}") from err
-    last = packets["last"]
+    if not (isinstance(frame, np.ndarray) and frame.dtype == PACKET and frame.ndim == 1):
+        got = f"{frame.ndim}-D {frame.dtype}" if isinstance(frame, np.ndarray) else type(frame).__name__
+        raise FramingError(f"malformed packet: a frame is a 1-D PACKET array, not a {got}")
+    last = frame["last"]
     if np.count_nonzero(last) != 1 or not last[-1]:  # an empty frame has no flag, so it lands here too
         if last[:-1].any():
             raise FramingError("packet after last flag")
         raise FramingError("missing last flag at end of frame")
-    return packets["payload"] & _WORD_MASK
+    return frame["payload"] & _WORD_MASK
 
 
-def decode_output_stream(packets: Iterable[StreamPacket] | np.ndarray) -> np.ndarray:
+def decode_output_stream(frame: np.ndarray) -> np.ndarray:
     """Reassemble accumulator values from an output frame (framing-checked)."""
-    words = _read_frame(packets)
+    words = _read_frame(frame)
     if len(words) % 2 != 0:
         raise FramingError(f"odd output frame length {len(words)}")
     return words[0::2] | (words[1::2] << _WORD_BITS)  # int64 wraps to two's complement
@@ -188,35 +179,17 @@ class AcceleratorConfig:
     lanes_per_pe: int = 10
     chunk_len: int = 50  # dot-product length per batch
     clock_mhz: float = 200.0
-    pipeline_fill: int = 0  # extra startup cycles
 
     def __post_init__(self):
         if self.num_pes < 1 or self.lanes_per_pe < 1 or self.chunk_len < 1:
             raise ValueError("num_pes, lanes_per_pe, chunk_len must be >= 1")
-        if self.clock_mhz <= 0:
-            raise ValueError("clock_mhz must be > 0")
-        if self.pipeline_fill < 0:
-            raise ValueError("pipeline_fill must be >= 0")
+        if not (math.isfinite(self.clock_mhz) and self.clock_mhz > 0):
+            raise ValueError(f"clock_mhz must be finite and > 0, got {self.clock_mhz}")
 
     @property
     def rows(self) -> int:
         """Output rows per batch, one per multiplier lane."""
         return self.num_pes * self.lanes_per_pe
-
-    @cached_property
-    def _batch_report(self) -> BatchReport:
-        # The config is frozen, so every batch under it has this one report.
-        mult_ops = self.rows * self.chunk_len
-        add_ops = self.rows * self.chunk_len
-        latency_cycles = self.chunk_len + self.pipeline_fill
-        latency_ns = latency_cycles * 1000.0 / self.clock_mhz
-        return BatchReport(
-            mult_ops=mult_ops,
-            add_ops=add_ops,
-            latency_cycles=latency_cycles,
-            latency_ns=latency_ns,
-            gops=(mult_ops + add_ops) / latency_ns,
-        )
 
 
 @dataclass(frozen=True)
@@ -249,13 +222,13 @@ class MacArrayCore:
         _check_operand_range(weights, "weight")
         self._weights = weights.astype(np.int64)  # astype copies
 
-    def run_batch(self, x) -> tuple[np.ndarray, BatchReport]:
+    def run_batch(self, x) -> np.ndarray:
         """One batch: every lane accumulates one product per cycle.
 
         Returns the exact integer accumulator vector (int64, models the
-        >=40-bit hardware accumulators) and the batch timing report. The
-        cycle-by-cycle accumulation is computed as one integer product,
-        which gives the same sums; timing comes from ``report``.
+        >=40-bit hardware accumulators). The cycle-by-cycle accumulation is
+        computed as one integer product, which gives the same sums; timing
+        comes from ``report``.
         """
         if self._weights is None:
             raise RuntimeError("weights not loaded")
@@ -263,22 +236,27 @@ class MacArrayCore:
         if x.shape != (self.config.chunk_len,):
             raise ValueError(f"input shape {x.shape} != ({self.config.chunk_len},)")
         _check_operand_range(x, "input")
-        return self._weights @ x.astype(np.int64, copy=False), self.report()
+        return self._weights @ x.astype(np.int64, copy=False)
 
     def report(self) -> BatchReport:
         """Timing/operation report for one batch under the current config."""
-        return self.config._batch_report
+        config = self.config
+        ops = config.rows * config.chunk_len
+        latency_ns = config.chunk_len * 1000.0 / config.clock_mhz
+        return BatchReport(
+            mult_ops=ops, add_ops=ops, latency_cycles=config.chunk_len,
+            latency_ns=latency_ns, gops=2 * ops / latency_ns,
+        )
 
-    def stream_batch(self, packets: Iterable[StreamPacket] | np.ndarray) -> np.ndarray:
+    def stream_batch(self, frame: np.ndarray) -> np.ndarray:
         """Consume one input frame, run the batch, emit the output frame."""
-        x = self._consume_frame(packets)
-        y, _ = self.run_batch(x)
+        y = self.run_batch(self._consume_frame(frame))
         # Each accumulator travels as its low word then its high word; one last flag closes the frame.
         return to_stream(y[:, None] >> _WORD_SHIFTS)
 
-    def _consume_frame(self, packets: Iterable[StreamPacket] | np.ndarray) -> np.ndarray:
+    def _consume_frame(self, frame: np.ndarray) -> np.ndarray:
         chunk = self.config.chunk_len
-        words = _read_frame(packets)
+        words = _read_frame(frame)
         if len(words) < chunk:
             raise FramingError(f"last flag after {len(words)} of {chunk} words")
         if len(words) > chunk:
@@ -291,8 +269,8 @@ def stream_roundtrip(core: MacArrayCore, x) -> np.ndarray:
     return decode_output_stream(core.stream_batch(to_stream(x)))
 
 
-def matvec_fixed(core: MacArrayCore, w_real, x_real, fmt: FixedPointFormat):
-    """Quantize, run on the core, dequantize; returns (y_real, report).
+def matvec_fixed(core: MacArrayCore, w_real, x_real, fmt: FixedPointFormat) -> np.ndarray:
+    """Quantize, run on the core, dequantize; returns y_real.
 
     The integer accumulators carry products of two 2^n-scaled operands, so
     the result is rescaled by 2^(-2n).
@@ -300,8 +278,7 @@ def matvec_fixed(core: MacArrayCore, w_real, x_real, fmt: FixedPointFormat):
     w_q = FixedPointTensor.from_real(w_real, fmt)
     x_q = FixedPointTensor.from_real(x_real, fmt)
     core.load_weights(w_q.raw)
-    y_int, report = core.run_batch(x_q.raw)
-    return y_int.astype(np.float64) / float(fmt.scale) ** 2, report
+    return core.run_batch(x_q.raw).astype(np.float64) / float(fmt.scale) ** 2
 
 
 def _check_operand_range(values: np.ndarray, label: str) -> None:

@@ -116,7 +116,7 @@ def offload_gate_preactivation(
     h_prev = np.asarray(h_prev, dtype=np.float64)
 
     core = MacArrayCore(config)
-    recurrent_term, _ = matvec_fixed(core, layer.Wf, h_prev, fmt)
+    recurrent_term = matvec_fixed(core, layer.Wf, h_prev, fmt)
     host_term = layer.Uf[:, x_id] + layer.bf
 
     accel = recurrent_term + host_term

@@ -9,7 +9,7 @@ float64 and side-effect free; the fixed-point path lives in ``accel``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,16 +43,11 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RnnParams:
-    """Weights of the single-layer vanilla RNN cell.
-
-    ``s`` is the hidden state carried between steps; it starts at zero and
-    is used when ``rnn_step`` is called without an explicit previous state.
-    """
+    """Weights of the single-layer vanilla RNN cell."""
 
     U: np.ndarray  # hidden x vocab
     W: np.ndarray  # hidden x hidden
     V: np.ndarray  # vocab x hidden
-    s: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         hidden, vocab = self.U.shape
@@ -60,22 +55,19 @@ class RnnParams:
             raise ValueError(f"W shape {self.W.shape} != ({hidden}, {hidden})")
         if self.V.shape != (vocab, hidden):
             raise ValueError(f"V shape {self.V.shape} != ({vocab}, {hidden})")
-        if self.s is None:
-            self.s = np.zeros(hidden)
-        elif self.s.shape != (hidden,):
-            raise ValueError(f"state shape {self.s.shape} != ({hidden},)")
 
 
 def rnn_step(params: RnnParams, x_id: int, s_prev: np.ndarray | None = None):
     """One vanilla RNN step: s = tanh(U[:, x] + W s_prev), o = softmax(V s).
 
     The one-hot input multiplication is realized as column selection of U,
-    which is arithmetically identical. Returns (s, o).
+    which is arithmetically identical. ``s_prev=None`` is the all-zero
+    state. Returns (s, o).
     """
-    vocab = params.U.shape[1]
+    hidden, vocab = params.U.shape
     _check_token_id(x_id, vocab)
     if s_prev is None:
-        s_prev = params.s
+        s_prev = np.zeros(hidden)
     s = np.tanh(params.U[:, x_id] + params.W @ s_prev)
     return s, softmax(params.V @ s)
 
@@ -273,6 +265,9 @@ def zero_params(hidden: int, vocab: int) -> LstmStackParams:
 
 def init_params(hidden: int = DEFAULT_HIDDEN, vocab: int = DEFAULT_VOCAB, seed: int = 0) -> LstmStackParams:
     """Seeded initialization: each matrix uniform in +-1/sqrt(fan_in), biases zero."""
+    for name, size in (("hidden", hidden), ("vocab", vocab)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
     rng = np.random.default_rng(seed)
 
     def mat(rows: int, cols: int) -> np.ndarray:

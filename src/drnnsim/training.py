@@ -199,8 +199,8 @@ def sgd_step(params: LstmStackParams, grads: Gradients, learning_rate: float) ->
     reaches the columns named by ``grads.input_ids``; the columns it skips
     would have been updated by zero, which leaves a finite value unchanged.
     """
-    if learning_rate <= 0:
-        raise ValueError("learning_rate must be > 0")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
     grad_arrays = _fused_arrays(grads)
     for g in grad_arrays:
         if not np.all(np.isfinite(g)):
@@ -225,8 +225,8 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.eval_interval < 1:

@@ -1,6 +1,8 @@
 """Accelerator model tests: quantization, integer exactness against a
 brute-force oracle, stream framing, and the timing model."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from drnnsim.accel import (
     FramingError,
     MacArrayCore,
     PACKET,
-    StreamPacket,
     decode_output_stream,
     dequantize,
     matvec_error_bound,
@@ -230,12 +231,12 @@ class TestMacArrayCore:
         w1 = rng.integers(-100, 100, size=(50, 50))
         x = rng.integers(-100, 100, size=50)
         core.load_weights(w1)
-        y1, _ = core.run_batch(x)
+        y1 = core.run_batch(x)
         np.testing.assert_array_equal(y1, w1 @ x)
         # reload changes subsequent outputs only
         w2 = rng.integers(-100, 100, size=(50, 50))
         core.load_weights(w2)
-        y2, _ = core.run_batch(x)
+        y2 = core.run_batch(x)
         np.testing.assert_array_equal(y2, w2 @ x)
 
     def test_load_weights_owns_its_weights(self):
@@ -247,21 +248,21 @@ class TestMacArrayCore:
         core = MacArrayCore()
         core.load_weights(weights)
         weights[:] = 7
-        y, _ = core.run_batch(x)
+        y = core.run_batch(x)
         assert y.tolist() == expected
 
     def test_identity_times_scale(self):
         core = MacArrayCore()
         core.load_weights(np.eye(50, dtype=np.int64) * 256)
         x = np.arange(-25, 25)
-        y, _ = core.run_batch(x)
+        y = core.run_batch(x)
         np.testing.assert_array_equal(y, x * 256)
 
     def test_consecutive_numbers_golden_row_pattern(self):
         core = MacArrayCore()
         weights = np.tile(np.arange(1, 51)[:, None], (1, 50))
         core.load_weights(weights)
-        y, _ = core.run_batch(np.arange(1, 51))
+        y = core.run_batch(np.arange(1, 51))
         np.testing.assert_array_equal(y, 1275 * np.arange(1, 51))
 
     def test_matches_integer_oracle_on_random_operands(self):
@@ -271,7 +272,7 @@ class TestMacArrayCore:
             weights = rng.integers(-(2**15), 2**15, size=(50, 50))
             x = rng.integers(-(2**15), 2**15, size=50)
             core.load_weights(weights)
-            y, _ = core.run_batch(x)
+            y = core.run_batch(x)
             assert y.tolist() == int_matvec_oracle(weights.tolist(), x.tolist())
 
     def test_non_default_geometry(self):
@@ -281,9 +282,9 @@ class TestMacArrayCore:
         weights = rng.integers(-50, 50, size=(6, 4))
         x = rng.integers(-50, 50, size=4)
         core.load_weights(weights)
-        y, report = core.run_batch(x)
+        y = core.run_batch(x)
         assert y.tolist() == int_matvec_oracle(weights.tolist(), x.tolist())
-        assert report.mult_ops == report.add_ops == 24
+        assert core.report().mult_ops == core.report().add_ops == 24
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
@@ -293,8 +294,7 @@ class TestMacArrayCore:
         for _ in range(2):
             core = MacArrayCore()
             core.load_weights(weights)
-            y, report = core.run_batch(x)
-            results.append((y.tolist(), report))
+            results.append((core.run_batch(x).tolist(), core.report()))
         assert results[0] == results[1]
 
 
@@ -304,7 +304,7 @@ class TestMacArrayCore:
 
 class TestTimingModel:
     def test_default_report_numbers(self):
-        _, report = run_default_batch()
+        report = MacArrayCore().report()
         assert report.mult_ops == 2500
         assert report.add_ops == 2500
         assert report.latency_cycles == 50
@@ -312,7 +312,7 @@ class TestTimingModel:
         assert report.gops == 20.0
 
     def test_gops_definition_holds(self):
-        _, report = run_default_batch()
+        report = MacArrayCore().report()
         assert report.gops == (report.mult_ops + report.add_ops) / report.latency_ns
 
     def test_gops_scales_linearly_with_clock(self):
@@ -334,56 +334,35 @@ class TestTimingModel:
                 lanes_per_pe=int(rng.integers(1, 17)),
                 chunk_len=int(rng.integers(1, 129)),
                 clock_mhz=float(rng.uniform(10, 1000)),
-                pipeline_fill=int(rng.integers(0, 10)),
             )
             report = MacArrayCore(config).report()
-            expected = (
-                2 * config.rows * config.chunk_len * config.clock_mhz
-                / (1000.0 * (config.chunk_len + config.pipeline_fill))
-            )
+            expected = 2 * config.rows * config.clock_mhz / 1000.0
             assert report.gops == pytest.approx(expected, rel=1e-12)
-
-    def test_pipeline_fill_adds_cycles(self):
-        core = MacArrayCore(AcceleratorConfig(pipeline_fill=5))
-        report = core.report()
-        assert report.latency_cycles == 55
-        assert report.latency_ns == 275.0
 
     def test_report_equals_a_fresh_batch_report(self):
         for config in (
             AcceleratorConfig(),
             AcceleratorConfig(num_pes=2, lanes_per_pe=3, chunk_len=4),
-            AcceleratorConfig(clock_mhz=333.0, pipeline_fill=7),
+            AcceleratorConfig(clock_mhz=333.0),
             AcceleratorConfig(num_pes=1, lanes_per_pe=50, chunk_len=50, clock_mhz=100.0),
         ):
             ops = config.rows * config.chunk_len
-            cycles = config.chunk_len + config.pipeline_fill
-            latency_ns = cycles * 1000.0 / config.clock_mhz
-            expected = BatchReport(ops, ops, cycles, latency_ns, 2 * ops / latency_ns)
-            core = MacArrayCore(config)
-            core.load_weights(np.ones((config.rows, config.chunk_len), dtype=np.int64))
-            assert core.report() == expected
-            assert core.run_batch(np.ones(config.chunk_len, dtype=np.int64))[1] == expected
+            latency_ns = config.chunk_len * 1000.0 / config.clock_mhz
+            expected = BatchReport(ops, ops, config.chunk_len, latency_ns, 2 * ops / latency_ns)
+            assert MacArrayCore(config).report() == expected
 
     def test_report_follows_a_reassigned_config(self):
         core = MacArrayCore()
         assert core.report().gops == 20.0
         core.config = AcceleratorConfig(clock_mhz=100.0)
         assert core.report().gops == 10.0
-        core.load_weights(np.ones((50, 50), dtype=np.int64))
-        assert core.run_batch(np.ones(50, dtype=np.int64))[1].gops == 10.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AcceleratorConfig(lanes_per_pe=0)
-        with pytest.raises(ValueError):
-            AcceleratorConfig(clock_mhz=0.0)
-
-
-def run_default_batch():
-    core = MacArrayCore()
-    core.load_weights(np.ones((50, 50), dtype=np.int64))
-    return core.run_batch(np.ones(50, dtype=np.int64))
+        for clock_mhz in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="clock_mhz must be finite and > 0"):
+                AcceleratorConfig(clock_mhz=clock_mhz)
 
 
 # ---------------------------------------------------------------------------
@@ -409,31 +388,25 @@ class TestStreamProtocol:
             assert [bool(p.last) for p in frame] == [False] * (len(frame) - 1) + [True]
             assert [int(p.payload) for p in frame] == frame["payload"].tolist()
 
-    def test_recarray_views_and_packet_lists_decode_alike(self):
+    def test_recarray_views_decode_alike(self):
         core, rng = self.make_core(seed=11)
-        x = rng.integers(-(2**15), 2**15, size=50)
-        frame = to_stream(x)
-        packets = [StreamPacket(int(p.payload), bool(p.last)) for p in frame]
+        frame = to_stream(rng.integers(-(2**15), 2**15, size=50))
         out = core.stream_batch(frame)
         assert core.stream_batch(frame.view(np.recarray)).tolist() == out.tolist()
-        assert core.stream_batch(packets).tolist() == out.tolist()
-        expected = decode_output_stream(out)
-        out_packets = [StreamPacket(int(p.payload), bool(p.last)) for p in out]
-        np.testing.assert_array_equal(decode_output_stream(out.view(np.recarray)), expected)
-        np.testing.assert_array_equal(decode_output_stream(out_packets), expected)
+        np.testing.assert_array_equal(decode_output_stream(out.view(np.recarray)), decode_output_stream(out))
 
     def test_roundtrip_equals_run_batch(self):
         core, rng = self.make_core(seed=8)
         for _ in range(10):
             x = rng.integers(-(2**15), 2**15, size=50)
-            direct, _ = core.run_batch(x)
+            direct = core.run_batch(x)
             np.testing.assert_array_equal(stream_roundtrip(core, x), direct)
 
     def test_negative_accumulators_survive_the_stream(self):
         core = MacArrayCore()
         core.load_weights(np.full((50, 50), -(2**15), dtype=np.int64))
         x = np.full(50, 2**15 - 1, dtype=np.int64)
-        direct, _ = core.run_batch(x)
+        direct = core.run_batch(x)
         assert direct.min() < -(2**31)  # wider than one stream word
         np.testing.assert_array_equal(stream_roundtrip(core, x), direct)
 
@@ -446,30 +419,32 @@ class TestStreamProtocol:
         assert decoded.dtype == np.int64
         assert decoded.tolist() == values
 
+    # Faults are injected by editing a to_stream frame in place.
     def test_early_last_is_a_framing_error(self):
         core, _ = self.make_core()
-        packets = [StreamPacket(payload=k, last=(k == 29)) for k in range(30)]
+        frame = to_stream(np.arange(50))[:30]
+        frame["last"][-1] = True
         with pytest.raises(FramingError, match="last flag after 30 of 50"):
-            core.stream_batch(packets)
+            core.stream_batch(frame)
 
     def test_missing_last_is_a_framing_error(self):
         core, _ = self.make_core()
-        packets = [StreamPacket(payload=k) for k in range(50)]
+        frame = to_stream(np.arange(50))
+        frame["last"][-1] = False
         with pytest.raises(FramingError, match="missing last"):
-            core.stream_batch(packets)
+            core.stream_batch(frame)
 
     def test_packet_after_last_is_a_framing_error(self):
         core, _ = self.make_core()
-        packets = [StreamPacket(payload=k, last=(k == 49)) for k in range(50)]
-        packets.append(StreamPacket(payload=0))
+        frame = to_stream(np.arange(51))
+        frame["last"][49:] = True, False
         with pytest.raises(FramingError, match="after last"):
-            core.stream_batch(packets)
+            core.stream_batch(frame)
 
     def test_overlong_frame_is_a_framing_error(self):
         core, _ = self.make_core()
-        packets = [StreamPacket(payload=k, last=(k == 50)) for k in range(51)]
         with pytest.raises(FramingError, match="exceeds"):
-            core.stream_batch(packets)
+            core.stream_batch(to_stream(np.arange(51)))
 
     def test_weight_residency_across_frames(self):
         core, rng = self.make_core(seed=10)
@@ -485,7 +460,8 @@ class TestStreamProtocol:
 
 
 # ---------------------------------------------------------------------------
-# Plain-Python reference: the per-packet stream path the record frames replace
+# Plain-Python reference: the stream path packet by packet, as (payload, last)
+# tuples; ``as_frame`` turns them into a PACKET frame only to feed the real code
 # ---------------------------------------------------------------------------
 
 WORD_MASK = 0xFFFFFFFF
@@ -500,17 +476,17 @@ def ref_to_stream(values):
     words = [int(v) & WORD_MASK for v in values]
     if not words:
         raise ValueError("cannot stream an empty batch")
-    return [StreamPacket(w) for w in words[:-1]] + [StreamPacket(words[-1], last=True)]
+    return [(w, False) for w in words[:-1]] + [(words[-1], True)]
 
 
 def ref_read_frame(packets):
     words = []
     closed = False
-    for packet in packets:
+    for payload, last in packets:
         if closed:
             raise FramingError("packet after last flag")
-        words.append(int(packet.payload) & WORD_MASK)
-        closed = packet.last
+        words.append(int(payload) & WORD_MASK)
+        closed = last
     if not closed:
         raise FramingError("missing last flag at end of frame")
     return words
@@ -529,6 +505,10 @@ def ref_output_frame(accumulators):
 
 def as_pairs(frame):
     return [(int(p.payload), bool(p.last)) for p in frame]
+
+
+def as_frame(packets):
+    return np.array(packets, dtype=PACKET)
 
 
 def error_text(fn, *args):
@@ -554,7 +534,7 @@ class TestStreamMatchesReference:
     def test_input_frames_equal_packet_for_packet(self, values):
         frame = to_stream(np.array(values))
         assert frame.dtype == PACKET
-        assert as_pairs(frame) == as_pairs(ref_to_stream(values))
+        assert as_pairs(frame) == ref_to_stream(values)
 
     @settings(deadline=None)
     @given(st.lists(INT64, min_size=50, max_size=50))
@@ -562,77 +542,57 @@ class TestStreamMatchesReference:
         # any int64 accumulator vector, fed to the real stream_batch in place of the product
         core = self.make_core(0)
         y = np.array(accumulators, dtype=np.int64)
-        core.run_batch = lambda x: (y, core.report())
+        core.run_batch = lambda x: y
         frame = core.stream_batch(to_stream(np.zeros(50, dtype=np.int64)))
-        assert as_pairs(frame) == as_pairs(ref_output_frame(accumulators))
+        assert as_pairs(frame) == ref_output_frame(accumulators)
         assert decode_output_stream(frame).tolist() == accumulators
-        assert ref_decode_output_stream(frame) == accumulators
+        assert ref_decode_output_stream(as_pairs(frame)) == accumulators
 
     @settings(deadline=None, max_examples=50)
     @given(OPERANDS, st.integers(0, 2**32 - 1))
     def test_roundtrip_equals_run_batch_and_the_reference_decode(self, x, seed):
         core = self.make_core(seed)
-        direct, _ = core.run_batch(np.array(x))
+        direct = core.run_batch(np.array(x))
         through = stream_roundtrip(core, x)
         assert through.dtype == np.int64
         np.testing.assert_array_equal(through, direct)
         # hand-built input frame in, reference decode out
-        assert ref_decode_output_stream(core.stream_batch(ref_to_stream(x))) == through.tolist()
+        out = core.stream_batch(as_frame(ref_to_stream(x)))
+        assert ref_decode_output_stream(as_pairs(out)) == through.tolist()
 
     @settings(deadline=None)
     @given(st.lists(st.booleans(), max_size=12), st.lists(st.integers(0, 2**32 - 1), min_size=12, max_size=12))
     def test_last_flag_patterns_raise_the_reference_message(self, flags, words):
-        packets = [StreamPacket(w, last=f) for w, f in zip(words, flags)]
+        packets = list(zip(words, flags))
         expected = error_text(ref_decode_output_stream, packets)
-        assert error_text(decode_output_stream, packets) == expected
-        assert error_text(decode_output_stream, iter(packets)) == expected
-        assert error_text(decode_output_stream, np.array(packets, dtype=PACKET)) == expected
-
-    @settings(deadline=None, max_examples=50)
-    @given(OPERANDS)
-    def test_a_generator_of_packets_decodes_like_a_list(self, x):
-        core = self.make_core(4)
-        packets = ref_to_stream(x)
-        out = core.stream_batch(p for p in packets)
-        assert as_pairs(out) == as_pairs(core.stream_batch(packets))
-        out_packets = [StreamPacket(int(p.payload), bool(p.last)) for p in out]
-        np.testing.assert_array_equal(
-            decode_output_stream(p for p in out_packets), decode_output_stream(out_packets)
-        )
+        assert error_text(decode_output_stream, as_frame(packets)) == expected
 
 
 class TestMalformedStreamInput:
-    def frame_with(self, payload):
-        # a well-formed 50-word input frame with one bad payload in the middle
-        packets = [StreamPacket(k, last=(k == 49)) for k in range(50)]
-        packets[20] = StreamPacket(payload)
-        return packets
-
-    @pytest.mark.parametrize("payload", ["x", "7", 1.5, 7.0, None, 2**63, -(2**63) - 1],
-                             ids=["str", "numeric-str", "float", "integral-float", "none", "above-int64", "below-int64"])
-    def test_bad_payload_is_a_framing_error(self, payload):
-        core = MacArrayCore()
-        core.load_weights(np.ones((50, 50), dtype=np.int64))
-        with pytest.raises(FramingError, match="malformed packet"):
-            core.stream_batch(self.frame_with(payload))
-        with pytest.raises(FramingError, match="malformed packet"):
-            decode_output_stream([StreamPacket(0), StreamPacket(payload, last=True)])
-
-    @pytest.mark.parametrize("frame", [[0, 1], np.zeros((2, 2), dtype=PACKET), np.zeros((), dtype=PACKET)],
-                             ids=["ints", "2-d-records", "0-d-record"])
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            [0, 1],
+            np.zeros((2, 2), dtype=PACKET),
+            np.zeros((), dtype=PACKET),
+            [(0, False), (1, True)],
+            [SimpleNamespace(payload=0, last=False), SimpleNamespace(payload=1, last=True)],
+        ],
+        ids=["ints", "2-d-records", "0-d-record", "tuples", "packet-objects"],
+    )
     def test_frame_that_is_not_a_packet_sequence_is_a_framing_error(self, frame):
         with pytest.raises(FramingError, match="malformed packet"):
             decode_output_stream(frame)
 
     def test_integer_payloads_keep_32_bit_masking(self):
         # -1 is the word 0xFFFFFFFF: a low word of all ones and a zero high word
-        assert decode_output_stream([StreamPacket(-1), StreamPacket(0, last=True)]).tolist() == [WORD_MASK]
-        assert decode_output_stream([StreamPacket(np.int64(-1)), StreamPacket(2**40 - 1, last=True)]).tolist() == [-1]
+        assert decode_output_stream(as_frame([(-1, False), (0, True)])).tolist() == [WORD_MASK]
+        assert decode_output_stream(as_frame([(-1, False), (2**40 - 1, True)])).tolist() == [-1]
         core = MacArrayCore()
         core.load_weights(np.eye(50, dtype=np.int64))
-        packets = self.frame_with(-1)
-        packets[21] = StreamPacket(WORD_MASK)  # the same word, written unsigned
-        y = decode_output_stream(core.stream_batch(packets))
+        frame = to_stream(np.arange(50))
+        frame["payload"][20:22] = -1, WORD_MASK  # the same word, written signed and unsigned
+        y = decode_output_stream(core.stream_batch(frame))
         assert y[20] == y[21] == -1
 
     @pytest.mark.parametrize("values", [[1.5], [1.0], np.array([0.5, 2.0]), ["7"], [None]],
@@ -644,7 +604,7 @@ class TestMalformedStreamInput:
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint32, np.uint64, np.bool_])
     def test_operands_of_any_integer_dtype_stream_like_python_ints(self, dtype):
         values = np.array([0, 1, 100, -1, -100]).astype(dtype)
-        assert as_pairs(to_stream(values)) == as_pairs(ref_to_stream(values.tolist()))
+        assert as_pairs(to_stream(values)) == ref_to_stream(values.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +614,7 @@ class TestMalformedStreamInput:
 class TestMatvecFixed:
     def test_zero_matrix(self):
         core = MacArrayCore()
-        y, _ = matvec_fixed(core, np.zeros((50, 50)), np.random.default_rng(0).uniform(-1, 1, 50), Q88)
+        y = matvec_fixed(core, np.zeros((50, 50)), np.random.default_rng(0).uniform(-1, 1, 50), Q88)
         np.testing.assert_array_equal(y, np.zeros(50))
 
     def test_error_within_analytic_bound(self):
@@ -663,7 +623,7 @@ class TestMatvecFixed:
         for _ in range(50):
             w = rng.uniform(-1.0, 1.0, size=(50, 50))
             x = rng.uniform(-1.0, 1.0, size=50)
-            y_fixed, _ = matvec_fixed(core, w, x, Q88)
+            y_fixed = matvec_fixed(core, w, x, Q88)
             y_float = w @ x
             bound = matvec_error_bound(
                 float(np.abs(w).max()), float(np.abs(x).max()), 50, Q88
@@ -677,17 +637,12 @@ class TestMatvecFixed:
         core = MacArrayCore()
         w = rng.integers(-256, 257, size=(50, 50)) / 256.0
         x = rng.integers(-256, 257, size=50) / 256.0
-        y_fixed, _ = matvec_fixed(core, w, x, Q88)
+        y_fixed = matvec_fixed(core, w, x, Q88)
         np.testing.assert_array_equal(y_fixed, w @ x)
 
     def test_scaled_identity_recovers_input(self):
         core = MacArrayCore()
         rng = np.random.default_rng(23)
         x = rng.uniform(-1.0, 1.0, size=50)
-        y, _ = matvec_fixed(core, np.eye(50), x, Q88)
+        y = matvec_fixed(core, np.eye(50), x, Q88)
         assert float(np.abs(y - x).max()) <= 2.0**-Q88.frac_bits
-
-    def test_reports_come_back(self):
-        core = MacArrayCore()
-        _, report = matvec_fixed(core, np.zeros((50, 50)), np.zeros(50), Q88)
-        assert report.gops == 20.0

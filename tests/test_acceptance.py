@@ -95,7 +95,7 @@ def test_criterion_4_fixed_point_fidelity():
     for trial in range(trials):
         w = rng.uniform(-1.0, 1.0, size=(50, 50))
         x = rng.uniform(-1.0, 1.0, size=50)
-        y_fixed, _ = accel.matvec_fixed(core, w, x, fmt)
+        y_fixed = accel.matvec_fixed(core, w, x, fmt)
         y_float = w @ x
         err = float(np.abs(y_fixed - y_float).max())
         bound = accel.matvec_error_bound(
@@ -108,7 +108,7 @@ def test_criterion_4_fixed_point_fidelity():
         w_raw = accel.FixedPointTensor.from_real(w, fmt).raw
         x_raw = accel.FixedPointTensor.from_real(x, fmt).raw
         core.load_weights(w_raw)
-        y_int, _ = core.run_batch(x_raw)
+        y_int = core.run_batch(x_raw)
         w_list, x_list = w_raw.tolist(), x_raw.tolist()
         oracle = [
             sum(w_list[r][k] * x_list[k] for k in range(50)) for r in range(50)

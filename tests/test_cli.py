@@ -86,6 +86,17 @@ class TestTrain:
         code, _, _ = run_train(tmp_path, vocab_out, tokens_out, **{"--epochs": 0})
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"),
+                                             ("--hidden", "0"), ("--hidden", "-2")])
+    def test_bad_rate_or_width_is_a_one_line_data_error(self, tmp_path, corpus_file, capsys, flag, value):
+        _, vocab_out, tokens_out = run_prep(tmp_path, corpus_file)
+        capsys.readouterr()
+        code, model_out, _ = run_train(tmp_path, vocab_out, tokens_out, **{flag: value})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not model_out.exists()
+
     def test_identical_seeds_give_identical_outputs(self, tmp_path, corpus_file):
         _, vocab_out, tokens_out = run_prep(tmp_path, corpus_file)
         _, model_a, log_a = run_train(tmp_path, vocab_out, tokens_out, tag="_a")
@@ -198,6 +209,13 @@ class TestAccelBench:
 
     def test_bad_geometry_fails(self):
         assert main(["accel-bench", "--lanes", "0"]) == 2
+
+    @pytest.mark.parametrize("clock", ["nan", "inf", "0"])
+    def test_clock_must_be_finite_and_positive(self, clock, capsys):
+        assert main(["accel-bench", "--clock-mhz", clock]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: clock_mhz must be finite and > 0, got {float(clock)}\n"
 
     def test_deterministic_trace(self, tmp_path):
         traces = []

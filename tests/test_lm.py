@@ -399,6 +399,12 @@ def test_init_params_shapes_and_bounds():
     assert np.max(np.abs(params.layers[0].Uf)) <= 1 / math.sqrt(19)
 
 
+@pytest.mark.parametrize("hidden, vocab, bad", [(0, 5, "hidden"), (-2, 5, "hidden"), (3, 0, "vocab")])
+def test_init_params_rejects_empty_shapes(hidden, vocab, bad):
+    with pytest.raises(ValueError, match=f"{bad} must be >= 1"):
+        init_params(hidden=hidden, vocab=vocab)
+
+
 def test_zero_state_shapes():
     params = init_params(hidden=4, vocab=9, seed=0)
     state = zero_state(params)

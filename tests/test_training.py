@@ -218,10 +218,15 @@ class TestSgdStep:
         # failed update must not touch anything
         assert param_bytes(params) == before
 
-    def test_bad_learning_rate(self):
+    @pytest.mark.parametrize("learning_rate", [0.0, -0.1, np.nan, np.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_bad_learning_rate_leaves_params_unchanged(self, learning_rate):
         params = lm.init_params(hidden=2, vocab=4, seed=0)
-        with pytest.raises(ValueError):
-            sgd_step(params, zero_gradients(params), learning_rate=0.0)
+        before = param_bytes(params)
+        _, grads = bptt_gradients(params, TrainingPair(input=[1, 3, 1], label=[3, 1, 2]))
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            sgd_step(params, grads, learning_rate=learning_rate)
+        assert param_bytes(params) == before
 
 
 def toy_pairs(n_sentences=10, seed=0):
@@ -306,8 +311,9 @@ class TestTrain:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=-1.0)
+        for learning_rate in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=learning_rate)
 
 
 class TestTrainingLog:
