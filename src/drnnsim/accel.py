@@ -185,6 +185,8 @@ class AcceleratorConfig:
             raise ValueError("num_pes, lanes_per_pe, chunk_len must be >= 1")
         if not (math.isfinite(self.clock_mhz) and self.clock_mhz > 0):
             raise ValueError(f"clock_mhz must be finite and > 0, got {self.clock_mhz}")
+        if not math.isfinite(self.chunk_len * 1000.0 / self.clock_mhz):
+            raise ValueError(f"clock_mhz {self.clock_mhz} is too small: a batch's latency in ns is not finite")
 
     @property
     def rows(self) -> int:

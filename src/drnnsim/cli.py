@@ -222,7 +222,7 @@ def main(argv=None) -> int:
     except training.DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ValueError, OSError, accel.FramingError, RuntimeError) as err:
+    except (ValueError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -95,9 +95,6 @@ class Vocabulary:
             raise ValueError(f"token id {token_id} out of range [0, {self.size})")
         return self.words[token_id]
 
-    def __len__(self) -> int:
-        return self.size
-
     def __contains__(self, word: str) -> bool:
         return word in self.index_of
 
@@ -164,11 +161,20 @@ def save_encoded_corpus(encoded_sentences: list[list[int]], path: str | Path) ->
 
 
 def load_encoded_corpus(path: str | Path, vocab_size: int) -> list[list[int]]:
+    """Read a file written by ``save_encoded_corpus``; blank lines are skipped.
+
+    Each token must be an ASCII decimal id, which excludes signs, ``_``
+    separators and non-ASCII digits that ``int()`` would accept.
+    """
     sentences = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        ids = [int(tok) for tok in line.split()]
+        tokens = line.split()
+        for tok in tokens:
+            if not (tok.isascii() and tok.isdigit()):
+                raise ValueError(f"token {tok!r} on line {lineno} is not a decimal token id")
+        ids = [int(tok) for tok in tokens]
         for i in ids:
             if not 0 <= i < vocab_size:
                 raise ValueError(f"token id {i} on line {lineno} out of range [0, {vocab_size})")

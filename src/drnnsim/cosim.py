@@ -53,7 +53,7 @@ class GoldenResult:
         return f"golden vector check: FAIL ({len(self.mismatches)} mismatches: {head})"
 
 
-def golden_test(config: AcceleratorConfig | None = None, core: MacArrayCore | None = None) -> GoldenResult:
+def golden_test(core: MacArrayCore | None = None) -> GoldenResult:
     """Drive consecutive numbers through the stream path and compare exactly.
 
     The software side is an independent plain double loop over Python
@@ -61,7 +61,7 @@ def golden_test(config: AcceleratorConfig | None = None, core: MacArrayCore | No
     the expected values always come from the clean golden weights.
     """
     if core is None:
-        core = MacArrayCore(config)
+        core = MacArrayCore()
         core.load_weights(golden_weight_matrix(core.config))
     config = core.config
     x = golden_input(config)
@@ -121,7 +121,7 @@ def offload_gate_preactivation(
 
     accel = recurrent_term + host_term
     float_ref = layer.Wf @ h_prev + host_term
-    max_abs_err = float(np.max(np.abs(accel - float_ref))) if hidden else 0.0
+    max_abs_err = float(np.max(np.abs(accel - float_ref)))
     bound = matvec_error_bound(
         w_max=float(np.max(np.abs(layer.Wf))),
         x_max=float(np.max(np.abs(h_prev))),

@@ -127,24 +127,30 @@ for _name in GATE_PARAM_FIELDS:
 
 @dataclass
 class LstmStackParams:
-    """Three stacked LSTM layers plus the vocab-sized output projection V."""
+    """Three stacked LSTM layers plus the output projection V, which gives the sizes."""
 
     layers: list[LstmLayerParams]
     V: np.ndarray  # vocab x hidden
-    hidden: int
-    vocab: int
 
     def __post_init__(self):
         if len(self.layers) != N_LAYERS:
             raise ValueError(f"expected {N_LAYERS} layers, got {len(self.layers)}")
-        if self.V.shape != (self.vocab, self.hidden):
-            raise ValueError(f"V shape {self.V.shape} != ({self.vocab}, {self.hidden})")
+        if self.V.ndim != 2:
+            raise ValueError(f"V has rank {self.V.ndim}, expected 2")
         for l, layer in enumerate(self.layers):
             want_in = self.vocab if l == 0 else self.hidden
             if layer.hidden != self.hidden or layer.input_dim != want_in:
                 raise ValueError(
                     f"layer {l} dims ({layer.hidden}, {layer.input_dim}) != ({self.hidden}, {want_in})"
                 )
+
+    @property
+    def hidden(self) -> int:
+        return self.V.shape[1]
+
+    @property
+    def vocab(self) -> int:
+        return self.V.shape[0]
 
 
 @dataclass
@@ -235,13 +241,9 @@ def stack_forward_trace(params: LstmStackParams, input_ids, state0: LstmState | 
 
 
 def stack_forward(params: LstmStackParams, input_ids, state0: LstmState | None = None):
-    """Forward over a token sequence; returns (outputs, per-step states)."""
+    """Forward over a token sequence; returns (outputs, state after the last token)."""
     outputs, traces = stack_forward_trace(params, input_ids, state0)
-    states = [
-        LstmState([tr.h[t + 1] for tr in traces], [tr.c[t + 1] for tr in traces])
-        for t in range(len(outputs))
-    ]
-    return outputs, states
+    return outputs, LstmState([tr.h[-1] for tr in traces], [tr.c[-1] for tr in traces])
 
 
 def stack_step(params: LstmStackParams, x_id: int, state: LstmState):
@@ -260,7 +262,7 @@ def zero_params(hidden: int, vocab: int) -> LstmStackParams:
         LstmLayerParams(np.zeros((4 * hidden, hidden)), np.zeros((4 * hidden, n_in)), np.zeros(4 * hidden))
         for n_in in [vocab] + [hidden] * (N_LAYERS - 1)
     ]
-    return LstmStackParams(layers=layers, V=np.zeros((vocab, hidden)), hidden=hidden, vocab=vocab)
+    return LstmStackParams(layers=layers, V=np.zeros((vocab, hidden)))
 
 
 def init_params(hidden: int = DEFAULT_HIDDEN, vocab: int = DEFAULT_VOCAB, seed: int = 0) -> LstmStackParams:
@@ -279,7 +281,7 @@ def init_params(hidden: int = DEFAULT_HIDDEN, vocab: int = DEFAULT_VOCAB, seed: 
         LstmLayerParams(W=mat(4 * hidden, hidden), U=mat(4 * hidden, n_in), b=np.zeros(4 * hidden))
         for n_in in [vocab] + [hidden] * (N_LAYERS - 1)
     ]
-    return LstmStackParams(layers=layers, V=mat(vocab, hidden), hidden=hidden, vocab=vocab)
+    return LstmStackParams(layers=layers, V=mat(vocab, hidden))
 
 
 def _check_token_id(x_id: int, vocab: int) -> None:

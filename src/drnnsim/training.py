@@ -394,6 +394,8 @@ def load_model(path) -> LstmStackParams:
             name = take(name_len).decode("utf-8")
         except UnicodeDecodeError:
             raise ModelFormatError("array name is not valid UTF-8") from None
+        if name in index:
+            raise ModelFormatError(f"duplicate array {name}")
         code, rank = struct.unpack("<BB", take(2))
         if code not in _DTYPE_NP:
             raise ModelFormatError(f"unknown dtype code {code}")

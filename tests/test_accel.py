@@ -1,6 +1,7 @@
 """Accelerator model tests: quantization, integer exactness against a
 brute-force oracle, stream framing, and the timing model."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -224,6 +225,23 @@ class TestMacArrayCore:
         with pytest.raises(ValueError, match="input values must be integers"):
             core.run_batch(NON_REAL[kind]((50,)))
 
+    @pytest.mark.parametrize("shape", [(49,), (51,), (50, 1)])
+    def test_wrong_input_shape(self, shape):
+        core = MacArrayCore()
+        core.load_weights(np.ones((50, 50), dtype=np.int64))
+        with pytest.raises(ValueError, match=r"input shape .* != \(50,\)"):
+            core.run_batch(np.zeros(shape, dtype=np.int64))
+
+    def test_non_integral_float_operands_are_rejected(self):
+        core = MacArrayCore()
+        with pytest.raises(ValueError, match="^weight values must be integers$"):
+            core.load_weights(np.full((50, 50), 0.5))
+        core.load_weights(np.full((50, 50), 2.0))  # integral floats are operands
+        x = np.ones(50)
+        x[7] = 1.25
+        with pytest.raises(ValueError, match="^input values must be integers$"):
+            core.run_batch(x)
+
     def test_loaded_matrix_drives_the_output(self):
         config = AcceleratorConfig()
         core = MacArrayCore(config)
@@ -363,6 +381,16 @@ class TestTimingModel:
         for clock_mhz in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="clock_mhz must be finite and > 0"):
                 AcceleratorConfig(clock_mhz=clock_mhz)
+
+    @pytest.mark.parametrize("clock_mhz", [1e-320, 5e-324, 1e-305])
+    def test_clock_too_small_for_a_finite_latency(self, clock_mhz):
+        with pytest.raises(ValueError, match="too small: a batch's latency in ns is not finite"):
+            AcceleratorConfig(clock_mhz=clock_mhz)
+
+    def test_smallest_clocks_keep_a_finite_report(self):
+        report = MacArrayCore(AcceleratorConfig(clock_mhz=1e-300)).report()
+        assert report.latency_ns == 50 * 1000.0 / 1e-300
+        assert math.isfinite(report.latency_ns) and report.gops > 0
 
 
 # ---------------------------------------------------------------------------

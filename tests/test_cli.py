@@ -97,6 +97,18 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not model_out.exists()
 
+    def test_divergence_exits_3(self, tmp_path, corpus_file, capsys, monkeypatch):
+        def diverge(params, pairs, config):
+            raise training.DivergenceError("diverged: non-finite loss at step 4", step=4)
+
+        monkeypatch.setattr(training, "train", diverge)
+        _, vocab_out, tokens_out = run_prep(tmp_path, corpus_file)
+        capsys.readouterr()
+        code, model_out, _ = run_train(tmp_path, vocab_out, tokens_out)
+        assert code == 3
+        assert capsys.readouterr().err == "error: diverged: non-finite loss at step 4\n"
+        assert not model_out.exists()
+
     def test_identical_seeds_give_identical_outputs(self, tmp_path, corpus_file):
         _, vocab_out, tokens_out = run_prep(tmp_path, corpus_file)
         _, model_a, log_a = run_train(tmp_path, vocab_out, tokens_out, tag="_a")
@@ -152,6 +164,20 @@ class TestEval:
         assert main(["eval", str(bad), str(tokens_out), "--vocab", str(vocab_out)]) == 2
 
 
+@pytest.mark.parametrize("command", ["eval", "generate"])
+def test_model_and_vocabulary_sizes_must_agree(tmp_path, corpus_file, capsys, command):
+    _, vocab_out, tokens_out = run_prep(tmp_path, corpus_file)
+    vocab = corpus.load_vocab(vocab_out)
+    model = tmp_path / "m.drnn"
+    training.save_model(lm.init_params(hidden=4, vocab=vocab.size + 1, seed=0), model)
+    capsys.readouterr()
+    argv = [command, str(model)] + ([str(tokens_out)] if command == "eval" else []) + ["--vocab", str(vocab_out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: vocab size {vocab.size} != model vocab {vocab.size + 1}\n"
+
+
 class TestGenerate:
     def setup_model(self, tmp_path, corpus_file):
         _, vocab_out, tokens_out = run_prep(tmp_path, corpus_file)
@@ -185,6 +211,12 @@ class TestGenerate:
         for word in capsys.readouterr().out.split():
             assert word in vocab
 
+    def test_max_len_zero_fails(self, tmp_path, corpus_file, capsys):
+        model, vocab_out = self.setup_model(tmp_path, corpus_file)
+        capsys.readouterr()
+        assert main(["generate", str(model), "--vocab", str(vocab_out), "--max-len", "0"]) == 2
+        assert capsys.readouterr().err == "error: max-len must be >= 1\n"
+
     def test_greedy_mode(self, tmp_path, corpus_file, capsys):
         model, vocab_out = self.setup_model(tmp_path, corpus_file)
         capsys.readouterr()
@@ -216,6 +248,23 @@ class TestAccelBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: clock_mhz must be finite and > 0, got {float(clock)}\n"
+
+    def test_clock_too_small_for_a_finite_latency(self, capsys):
+        assert main(["accel-bench", "--clock-mhz", "1e-320"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: clock_mhz 1e-320 is too small: a batch's latency in ns is not finite\n"
+        )
+
+    def test_tiny_clock_still_reports(self, capsys):
+        assert main(["accel-bench", "--clock-mhz", "1e-300"]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert float(row[4]) == 50 * 1000.0 / 1e-300 and float(row[5]) > 0
+
+    def test_zero_batches_fails(self, capsys):
+        assert main(["accel-bench", "--batches", "0"]) == 2
+        assert capsys.readouterr().err == "error: batches must be >= 1\n"
 
     def test_deterministic_trace(self, tmp_path):
         traces = []

@@ -118,6 +118,10 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(["a", "b", "c"])
 
+    def test_rejects_duplicate_words(self):
+        with pytest.raises(ValueError, match="duplicate words"):
+            Vocabulary(["a", "b", "a", *SPECIAL_TOKENS])
+
     def test_file_roundtrip(self, tmp_path):
         vocab = build_vocab(tokenize("one two two three three three."), max_words=10)
         path = tmp_path / "vocab.txt"
@@ -179,6 +183,18 @@ class TestEncodedCorpusFile:
         path = tmp_path / "tokens.txt"
         corpus.save_encoded_corpus(encoded, path)
         assert corpus.load_encoded_corpus(path, vocab_size=5) == encoded
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "tokens.txt"
+        path.write_text("0 1\n\n \t \n2\n")
+        assert corpus.load_encoded_corpus(path, vocab_size=5) == [[0, 1], [2]]
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "+4", "-1", "abc", "0x1", "\u00b2", "1.0"])
+    def test_only_ascii_decimal_ids_are_read(self, tmp_path, token):
+        path = tmp_path / "tokens.txt"
+        path.write_text(f"0 1\n2 {token} 3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^token {re.escape(repr(token))} on line 2 is not a decimal token id$"):
+            corpus.load_encoded_corpus(path, vocab_size=5)
 
     def test_out_of_range_id_rejected(self, tmp_path):
         path = tmp_path / "tokens.txt"

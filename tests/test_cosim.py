@@ -50,6 +50,15 @@ class TestGoldenTest:
     def test_str_rendering(self):
         assert "PASS" in str(golden_test())
 
+    def test_str_of_a_failing_run_names_the_first_mismatches(self):
+        core = MacArrayCore()
+        weights = golden_weight_matrix(core.config)
+        weights[2:9, 0] += 1  # rows 2..8 each gain golden_input[0] = 1
+        core.load_weights(weights)
+        text = str(golden_test(core=core))
+        assert text.startswith("golden vector check: FAIL (7 mismatches: [2] expected 3825 got 3826, ")
+        assert text.endswith("[6] expected 8925 got 8926)")
+
 
 class TestOffload:
     def make_layer(self, seed=0, hidden=50):
@@ -82,6 +91,12 @@ class TestOffload:
         layer = self.make_layer(seed=2, hidden=32)
         with pytest.raises(ValueError, match="geometry"):
             offload_gate_preactivation(layer, np.zeros(32), 0, Q88)
+
+    @pytest.mark.parametrize("x_id", [-1, 200, 10**6])
+    def test_out_of_range_token_id(self, x_id):
+        layer = self.make_layer(seed=2)
+        with pytest.raises(ValueError, match=rf"token id {x_id} out of range \[0, 200\)"):
+            offload_gate_preactivation(layer, np.zeros(50), x_id, Q88)
 
     def test_on_grid_values_are_exact(self):
         layer = self.make_layer(seed=3)

@@ -146,13 +146,17 @@ CASES = {
 def test_forward_matches_per_gate_reference(case):
     make, pair = CASES[case]
     params = make()
-    outputs, states = lm.stack_forward(params, pair.input)
+    outputs, state = lm.stack_forward(params, pair.input)
+    _, traces = lm.stack_forward_trace(params, pair.input)
     ref_outputs, ref_traces = ref_forward(params, pair.input)
     for t, (got, want) in enumerate(zip(outputs, ref_outputs)):
         assert_close(got, want, f"output[{t}]")
-        for l in range(len(params.layers)):
-            assert_close(states[t].h[l], ref_traces[t][l]["h"], f"h[{t}][{l}]")
-            assert_close(states[t].c[l], ref_traces[t][l]["c"], f"c[{t}][{l}]")
+        for l, tr in enumerate(traces):
+            assert_close(tr.h[t + 1], ref_traces[t][l]["h"], f"h[{t}][{l}]")
+            assert_close(tr.c[t + 1], ref_traces[t][l]["c"], f"c[{t}][{l}]")
+    for l in range(len(params.layers)):
+        assert_close(state.h[l], ref_traces[-1][l]["h"], f"final h[{l}]")
+        assert_close(state.c[l], ref_traces[-1][l]["c"], f"final c[{l}]")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -1,6 +1,7 @@
 """Forward-path tests: activations, RNN cell, LSTM cell, and the 3-layer
 stack, checked against independent scalar (pure Python) oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -146,6 +147,14 @@ class TestRnnStep:
         with pytest.raises(ValueError):
             rnn_step(params, 3, np.zeros(2))
 
+    @pytest.mark.parametrize("W_shape, V_shape, match", [
+        ((2, 3), (3, 2), r"W shape \(2, 3\) != \(2, 2\)"),
+        ((2, 2), (2, 3), r"V shape \(2, 3\) != \(3, 2\)"),
+    ], ids=["W", "V"])
+    def test_constructor_rejects_mismatched_shapes(self, W_shape, V_shape, match):
+        with pytest.raises(ValueError, match=match):
+            RnnParams(U=np.zeros((2, 3)), W=np.zeros(W_shape), V=np.zeros(V_shape))
+
 
 # ---------------------------------------------------------------------------
 # LSTM cell
@@ -158,6 +167,16 @@ def zero_layer(hidden, input_dim):
 
 
 class TestLstmCell:
+    @pytest.mark.parametrize("W_shape, U_shape, b_shape", [
+        ((12, 3), (12, 4), (11,)),
+        ((12, 4), (12, 4), (12,)),
+        ((12, 3), (12,), (12,)),
+        ((12, 3), (8, 4), (12,)),
+    ], ids=["b-length", "W-shape", "U-rank", "U-rows"])
+    def test_constructor_rejects_mismatched_shapes(self, W_shape, U_shape, b_shape):
+        with pytest.raises(ValueError, match=r"are not \(4H, H\), \(4H, I\), \(4H,\)"):
+            LstmLayerParams(W=np.zeros(W_shape), U=np.zeros(U_shape), b=np.zeros(b_shape))
+
     def test_zero_weights_halve_the_cell(self):
         layer = zero_layer(hidden=3, input_dim=4)
         v = np.array([0.4, -1.2, 2.0])
@@ -207,25 +226,46 @@ class TestLstmCell:
 # 3-layer stack
 # ---------------------------------------------------------------------------
 
+class TestStackParams:
+    def test_fields_are_the_arrays_and_sizes_come_from_V(self):
+        params = init_params(hidden=4, vocab=9, seed=0)
+        assert [f.name for f in dataclasses.fields(params)] == ["layers", "V"]
+        assert (params.hidden, params.vocab) == (4, 9)
+        with pytest.raises(AttributeError):
+            params.hidden = 5
+
+    @pytest.mark.parametrize("layers, V, match", [
+        (lambda: [zero_layer(3, 5), zero_layer(3, 3)], np.zeros((5, 3)), "expected 3 layers, got 2"),
+        (lambda: [zero_layer(3, 5), zero_layer(3, 3), zero_layer(3, 3)], np.zeros(15), "V has rank 1, expected 2"),
+        (lambda: [zero_layer(3, 5), zero_layer(3, 3), zero_layer(3, 3)], np.zeros((5, 2)),
+         r"layer 0 dims \(3, 5\) != \(2, 5\)"),
+        (lambda: [zero_layer(3, 5), zero_layer(3, 4), zero_layer(3, 3)], np.zeros((5, 3)),
+         r"layer 1 dims \(3, 4\) != \(3, 3\)"),
+    ], ids=["layer-count", "V-rank", "V-width", "layer-input"])
+    def test_constructor_rejects_mismatched_parts(self, layers, V, match):
+        with pytest.raises(ValueError, match=match):
+            lm.LstmStackParams(layers=layers(), V=V)
+
+
 class TestStackForward:
     def test_zero_params_give_uniform_outputs(self):
         layers = [zero_layer(3, 5), zero_layer(3, 3), zero_layer(3, 3)]
-        params = lm.LstmStackParams(layers=layers, V=np.zeros((5, 3)), hidden=3, vocab=5)
+        params = lm.LstmStackParams(layers=layers, V=np.zeros((5, 3)))
         outputs, _ = stack_forward(params, [0, 4, 2])
         for out in outputs:
             np.testing.assert_allclose(out, np.full(5, 0.2), atol=1e-15)
 
     def test_single_step_equals_chained_cells(self):
         params = init_params(hidden=4, vocab=6, seed=2)
-        outputs, states = stack_forward(params, [3])
+        outputs, state = stack_forward(params, [3])
         h, c = lstm_cell_forward(params.layers[0], 3, np.zeros(4), np.zeros(4))
         h1, c1 = lstm_cell_forward(params.layers[1], h, np.zeros(4), np.zeros(4))
         h2, c2 = lstm_cell_forward(params.layers[2], h1, np.zeros(4), np.zeros(4))
         np.testing.assert_array_equal(outputs[0], softmax(params.V @ h2))
-        np.testing.assert_array_equal(states[0].h[2], h2)
-        np.testing.assert_array_equal(states[0].c[0], c)
-        np.testing.assert_array_equal(states[0].c[1], c1)
-        np.testing.assert_array_equal(states[0].c[2], c2)
+        np.testing.assert_array_equal(state.h[2], h2)
+        np.testing.assert_array_equal(state.c[0], c)
+        np.testing.assert_array_equal(state.c[1], c1)
+        np.testing.assert_array_equal(state.c[2], c2)
 
     def test_matches_scalar_trace(self):
         params = init_params(hidden=2, vocab=5, seed=9)
@@ -270,8 +310,8 @@ class TestStackForward:
     def test_state_continuation(self):
         params = init_params(hidden=3, vocab=6, seed=6)
         full, _ = stack_forward(params, [1, 2, 3])
-        head, states = stack_forward(params, [1, 2])
-        tail, _ = stack_forward(params, [3], state0=states[-1])
+        head, state = stack_forward(params, [1, 2])
+        tail, _ = stack_forward(params, [3], state0=state)
         np.testing.assert_allclose(tail[0], full[2], atol=1e-15)
 
     def test_rejects_bad_ids_and_empty_input(self):
@@ -334,13 +374,13 @@ class TestLayerMajorSchedule:
     def test_stack_forward_equals_step_major_chain(self, hidden, vocab, random_state0):
         params, ids, state0 = schedule_case(hidden, vocab, random_state0)
         ref_outputs, ref_rows = step_major_chain(params, ids, state0)
-        outputs, states = stack_forward(params, ids, state0)
-        assert len(outputs) == len(states) == len(ids)
-        for t, (out, state) in enumerate(zip(outputs, states)):
-            np.testing.assert_array_equal(out, ref_outputs[t])
-            for l in range(3):
-                np.testing.assert_array_equal(state.h[l], ref_rows[t][l][0])
-                np.testing.assert_array_equal(state.c[l], ref_rows[t][l][1])
+        outputs, state = stack_forward(params, ids, state0)
+        assert len(outputs) == len(ids)
+        for out, ref in zip(outputs, ref_outputs):
+            np.testing.assert_array_equal(out, ref)
+        for l in range(3):
+            np.testing.assert_array_equal(state.h[l], ref_rows[-1][l][0])
+            np.testing.assert_array_equal(state.c[l], ref_rows[-1][l][1])
 
     def test_trace_rows_equal_step_major_chain(self, hidden, vocab, random_state0):
         params, ids, state0 = schedule_case(hidden, vocab, random_state0)
@@ -358,14 +398,24 @@ class TestLayerMajorSchedule:
                 np.testing.assert_array_equal(tr.z[t], z)
                 np.testing.assert_array_equal(tr.act[t], act)
 
+    def test_continuing_from_the_returned_state_equals_the_full_forward(self, hidden, vocab, random_state0):
+        params, ids, state0 = schedule_case(hidden, vocab, random_state0)
+        outputs, final = stack_forward(params, ids, state0)
+        head, state = stack_forward(params, ids[:5], state0)
+        tail, continued = stack_forward(params, ids[5:], state)
+        for got, want in zip(head + tail, outputs):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(continued.h + continued.c, final.h + final.c):
+            np.testing.assert_array_equal(got, want)
+
     def test_chained_stack_step_equals_stack_forward(self, hidden, vocab, random_state0):
         params, ids, state0 = schedule_case(hidden, vocab, random_state0)
-        outputs, states = stack_forward(params, ids, state0)
+        outputs, final = stack_forward(params, ids, state0)
         state = state0
         for x, expected in zip(ids, outputs):
             probs, state = lm.stack_step(params, x, state)
             np.testing.assert_array_equal(probs, expected)
-        for got, want in zip(state.h + state.c, states[-1].h + states[-1].c):
+        for got, want in zip(state.h + state.c, final.h + final.c):
             np.testing.assert_array_equal(got, want)
 
 

@@ -165,6 +165,38 @@ class TestCorruption:
         with pytest.raises(ModelFormatError, match="non-finite"):
             load_model(path)
 
+    def test_repeated_array_name(self, tmp_path):
+        path = self.make_file(tmp_path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 8, 38)  # array count: the 37 saved plus a second layer0.Wf
+        name = b"layer0.Wf"
+        data += struct.pack("<H", len(name)) + name + struct.pack("<BBQQ", 0, 2, 3, 3) + np.full(9, 9.0).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match="^duplicate array layer0.Wf$"):
+            load_model(path)
+
+    def test_unknown_dtype_code(self, tmp_path):
+        path = self.make_file(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[12 + 2 + len(b"layer0.Wf")] = 7  # the first array's dtype code
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match="unknown dtype code 7"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda arrays: arrays.pop("V"), "missing output projection array V"),
+        (lambda arrays: arrays.update(V=arrays["V"].ravel()), "V has rank 1, expected 2"),
+        (lambda arrays: arrays.update({"layer0.Uf": arrays["layer0.Uf"].T}), r"array layer0.Uf shape \(6, 3\) != \(3, 6\)"),
+        (lambda arrays: arrays.update(extra=np.zeros(2)), r"unexpected arrays: \['extra'\]"),
+    ], ids=["missing-V", "V-rank", "wrong-shape", "unexpected-array"])
+    def test_container_not_matching_the_topology(self, tmp_path, edit, match):
+        arrays = dict(named_arrays(lm.init_params(hidden=3, vocab=6, seed=1)))
+        edit(arrays)
+        path = tmp_path / "model.drnn"
+        write_container(path, [(name.encode(), arr.shape, arr.tobytes()) for name, arr in arrays.items()])
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(path)
+
     def test_bad_dtype_argument(self, tmp_path):
         params = lm.init_params(hidden=2, vocab=5, seed=0)
         with pytest.raises(ValueError):

@@ -100,7 +100,7 @@ class TestScoreSentence:
             lm.LstmLayerParams(W=np.zeros((8, 2)), U=np.zeros((8, input_dim)), b=np.zeros(8))
             for input_dim in (5, 2, 2)
         ]
-        params = lm.LstmStackParams(layers=layers, V=np.zeros((5, 2)), hidden=2, vocab=5)
+        params = lm.LstmStackParams(layers=layers, V=np.zeros((5, 2)))
         assert score_sentence(params, [1]) == pytest.approx(math.log(1 / 5), abs=1e-12)
 
     def test_equals_negative_sequence_loss(self):
@@ -303,6 +303,25 @@ class TestTrain:
             train(params, pairs, config)
         assert err.value.step == 1
 
+    def test_non_finite_gradient_aborts_with_step_index(self, monkeypatch):
+        # a finite loss with a non-finite gradient: sgd_step's error is re-raised with the step
+        calls = []
+
+        def third_gradient_is_nan(params, pair):
+            loss, grads = bptt_gradients(params, pair)
+            calls.append(pair)
+            if len(calls) == 3:
+                grads.V[0, 0] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(training, "bptt_gradients", third_gradient_is_nan)
+        pairs, vocab = toy_pairs(n_sentences=4, seed=6)
+        params = lm.init_params(hidden=4, vocab=vocab.size, seed=6)
+        config = TrainConfig(learning_rate=0.01, epochs=2, eval_interval=1000, rng_seed=6)
+        with pytest.raises(DivergenceError, match="^diverged: non-finite gradient at step 3$") as err:
+            train(params, pairs, config)
+        assert err.value.step == 3
+
     def test_empty_pairs_is_an_error(self):
         params = lm.init_params(hidden=2, vocab=5, seed=0)
         with pytest.raises(ValueError):
@@ -311,9 +330,17 @@ class TestTrain:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+        with pytest.raises(ValueError, match="eval_interval must be >= 1"):
+            TrainConfig(eval_interval=0)
         for learning_rate in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="learning_rate"):
                 TrainConfig(learning_rate=learning_rate)
+
+
+def test_evaluate_rejects_an_empty_pair_list():
+    params = lm.init_params(hidden=2, vocab=5, seed=0)
+    with pytest.raises(ValueError, match="no evaluation pairs"):
+        evaluate(params, [])
 
 
 class TestTrainingLog:
