@@ -8,9 +8,7 @@ from .accel import (
     FixedPointTensor,
     FramingError,
     MacArrayCore,
-    dequantize,
     matvec_fixed,
-    quantize,
     stream_roundtrip,
 )
 from .corpus import (
@@ -28,11 +26,9 @@ from .lm import (
     LstmLayerParams,
     LstmStackParams,
     LstmState,
-    RnnParams,
     hard_sigmoid,
     init_params,
     lstm_cell_forward,
-    rnn_step,
     softmax,
     stack_forward,
 )

@@ -68,15 +68,6 @@ class FixedPointFormat:
         return f"Q{self.int_bits}.{self.frac_bits}"
 
 
-def quantize(value: float, fmt: FixedPointFormat) -> int:
-    """Round-to-nearest-even of value * 2^n, saturated at the format bounds."""
-    return int(FixedPointTensor.from_real(value, fmt).raw)
-
-
-def dequantize(raw: int, fmt: FixedPointFormat) -> float:
-    return float(raw) / fmt.scale
-
-
 @dataclass
 class FixedPointTensor:
     """Integer raw values plus the format that gives them meaning."""
@@ -98,13 +89,6 @@ class FixedPointTensor:
             if np.isnan(raw).any():  # NaN passes through rint and clip
                 raise ValueError("cannot quantize NaN")
         return cls(raw=raw.astype(np.int64), fmt=fmt)
-
-    def to_real(self) -> np.ndarray:
-        return self.raw.astype(np.float64) / self.fmt.scale
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.raw.shape
 
 
 def matvec_error_bound(w_max: float, x_max: float, chunk_len: int, fmt: FixedPointFormat) -> float:
@@ -185,8 +169,16 @@ class AcceleratorConfig:
             raise ValueError("num_pes, lanes_per_pe, chunk_len must be >= 1")
         if not (math.isfinite(self.clock_mhz) and self.clock_mhz > 0):
             raise ValueError(f"clock_mhz must be finite and > 0, got {self.clock_mhz}")
-        if not math.isfinite(self.chunk_len * 1000.0 / self.clock_mhz):
+        # Every config that constructs has a finite report.
+        try:
+            report = _batch_report(self)
+        except OverflowError:  # an int too large to convert to a float
+            raise ValueError("num_pes * lanes_per_pe * chunk_len is too large: "
+                             "a batch's report overflows a float") from None
+        if not math.isfinite(report.latency_ns):
             raise ValueError(f"clock_mhz {self.clock_mhz} is too small: a batch's latency in ns is not finite")
+        if not math.isfinite(report.gops):
+            raise ValueError(f"clock_mhz {self.clock_mhz} is too large: a batch's GOPS is not finite")
 
     @property
     def rows(self) -> int:
@@ -201,6 +193,15 @@ class BatchReport:
     latency_cycles: int
     latency_ns: float
     gops: float  # (mult_ops + add_ops) / latency_ns
+
+
+def _batch_report(config: AcceleratorConfig) -> BatchReport:
+    ops = config.rows * config.chunk_len
+    latency_ns = config.chunk_len * 1000.0 / config.clock_mhz
+    return BatchReport(
+        mult_ops=ops, add_ops=ops, latency_cycles=config.chunk_len,
+        latency_ns=latency_ns, gops=2 * ops / latency_ns,
+    )
 
 
 class MacArrayCore:
@@ -242,13 +243,7 @@ class MacArrayCore:
 
     def report(self) -> BatchReport:
         """Timing/operation report for one batch under the current config."""
-        config = self.config
-        ops = config.rows * config.chunk_len
-        latency_ns = config.chunk_len * 1000.0 / config.clock_mhz
-        return BatchReport(
-            mult_ops=ops, add_ops=ops, latency_cycles=config.chunk_len,
-            latency_ns=latency_ns, gops=2 * ops / latency_ns,
-        )
+        return _batch_report(self.config)
 
     def stream_batch(self, frame: np.ndarray) -> np.ndarray:
         """Consume one input frame, run the batch, emit the output frame."""
@@ -272,7 +267,7 @@ def stream_roundtrip(core: MacArrayCore, x) -> np.ndarray:
 
 
 def matvec_fixed(core: MacArrayCore, w_real, x_real, fmt: FixedPointFormat) -> np.ndarray:
-    """Quantize, run on the core, dequantize; returns y_real.
+    """Quantize, run on the core, rescale to reals; returns y_real.
 
     The integer accumulators carry products of two 2^n-scaled operands, so
     the result is rescaled by 2^(-2n).

@@ -117,11 +117,17 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def _load_model_and_vocab(args):
+    """The model and vocabulary files named by ``args``, which must agree on the vocabulary size."""
     params = training.load_model(args.model)
     vocab = corpus.load_vocab(args.vocab)
     if vocab.size != params.vocab:
         raise ValueError(f"vocab size {vocab.size} != model vocab {params.vocab}")
+    return params, vocab
+
+
+def cmd_eval(args) -> int:
+    params, vocab = _load_model_and_vocab(args)
     encoded = corpus.load_encoded_corpus(args.tokens, vocab.size)
     pairs = corpus.pairs_from_encoded(encoded, vocab.size)
     mean_loss, ppl = training.evaluate(params, pairs)
@@ -135,10 +141,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    params = training.load_model(args.model)
-    vocab = corpus.load_vocab(args.vocab)
-    if vocab.size != params.vocab:
-        raise ValueError(f"vocab size {vocab.size} != model vocab {params.vocab}")
+    params, vocab = _load_model_and_vocab(args)
     if args.max_len < 1:
         raise ValueError("max-len must be >= 1")
     rng = np.random.default_rng(args.seed)
@@ -222,7 +225,7 @@ def main(argv=None) -> int:
     except training.DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ValueError, OSError, RuntimeError) as err:
+    except (ValueError, OSError, RuntimeError, MemoryError) as err:  # MemoryError: sizes too large to allocate
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

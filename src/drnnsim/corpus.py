@@ -95,9 +95,6 @@ class Vocabulary:
             raise ValueError(f"token id {token_id} out of range [0, {self.size})")
         return self.words[token_id]
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.index_of
-
 
 @dataclass(frozen=True)
 class TrainingPair:

@@ -1,9 +1,9 @@
 """Floating-point forward path of the language model.
 
-Holds the parameter containers and the step functions for the vanilla RNN
-cell, the LSTM cell (hard-sigmoid gates, tanh candidate), and the 3-layer
-LSTM stack with a softmax output projection. Everything here is pure
-float64 and side-effect free; the fixed-point path lives in ``accel``.
+Holds the parameter containers and the step functions for the LSTM cell
+(hard-sigmoid gates, tanh candidate) and the 3-layer LSTM stack with a
+softmax output projection. Everything here is pure float64 and
+side-effect free; the fixed-point path lives in ``accel``.
 """
 
 from __future__ import annotations
@@ -39,37 +39,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(z - z.max())
     return e / e.sum()
-
-
-@dataclass
-class RnnParams:
-    """Weights of the single-layer vanilla RNN cell."""
-
-    U: np.ndarray  # hidden x vocab
-    W: np.ndarray  # hidden x hidden
-    V: np.ndarray  # vocab x hidden
-
-    def __post_init__(self):
-        hidden, vocab = self.U.shape
-        if self.W.shape != (hidden, hidden):
-            raise ValueError(f"W shape {self.W.shape} != ({hidden}, {hidden})")
-        if self.V.shape != (vocab, hidden):
-            raise ValueError(f"V shape {self.V.shape} != ({vocab}, {hidden})")
-
-
-def rnn_step(params: RnnParams, x_id: int, s_prev: np.ndarray | None = None):
-    """One vanilla RNN step: s = tanh(U[:, x] + W s_prev), o = softmax(V s).
-
-    The one-hot input multiplication is realized as column selection of U,
-    which is arithmetically identical. ``s_prev=None`` is the all-zero
-    state. Returns (s, o).
-    """
-    hidden, vocab = params.U.shape
-    _check_token_id(x_id, vocab)
-    if s_prev is None:
-        s_prev = np.zeros(hidden)
-    s = np.tanh(params.U[:, x_id] + params.W @ s_prev)
-    return s, softmax(params.V @ s)
 
 
 GATES = ("f", "i", "o", "g")

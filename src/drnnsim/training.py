@@ -107,12 +107,6 @@ class Gradients:
     input_ids: np.ndarray
 
 
-def zero_gradients(params: LstmStackParams) -> Gradients:
-    """All-zero gradients; layer 0's input gradient has no columns."""
-    zeros = zero_params(params.hidden, 0)  # vocabulary 0: layer 0's U is 4H x 0
-    return Gradients(layers=zeros.layers, V=np.zeros_like(params.V), input_ids=np.zeros(0, dtype=np.intp))
-
-
 def named_arrays(obj: LstmStackParams | Gradients) -> dict[str, np.ndarray]:
     """Flat name -> array view of a parameter or gradient container."""
     arrays: dict[str, np.ndarray] = {}
@@ -258,9 +252,6 @@ class TrainingLog:
 
     def epoch_records(self) -> list[TrainRecord]:
         return [r for r in self.records if r.kind == "epoch"]
-
-    def interval_records(self) -> list[TrainRecord]:
-        return [r for r in self.records if r.kind == "interval"]
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]

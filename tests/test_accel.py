@@ -19,13 +19,12 @@ from drnnsim.accel import (
     MacArrayCore,
     PACKET,
     decode_output_stream,
-    dequantize,
     matvec_error_bound,
     matvec_fixed,
-    quantize,
     stream_roundtrip,
     to_stream,
 )
+from drnnsim.cosim import throughput_report
 
 Q88 = FixedPointFormat(8, 8)
 
@@ -34,6 +33,11 @@ FORMATS = st.integers(1, 16).flatmap(
     lambda bits: st.builds(lambda frac: FixedPointFormat(bits - frac, frac), st.integers(0, bits))
 )
 REALS = st.floats(min_value=-1e6, max_value=1e6)
+
+
+def raw_of(x, fmt):
+    """The raw integer one real quantizes to."""
+    return int(FixedPointTensor.from_real(x, fmt).raw)
 
 # Arrays that are neither bool, integer nor float: none of them is an operand.
 NON_REAL = {
@@ -91,22 +95,22 @@ class TestFixedPointFormat:
 
 class TestQuantize:
     def test_exact_value(self):
-        assert quantize(1.5, Q88) == 384
+        assert raw_of(1.5, Q88) == 384
 
     def test_saturation(self):
-        assert quantize(200.0, Q88) == 32767
-        assert quantize(-200.0, Q88) == -32768
+        assert raw_of(200.0, Q88) == 32767
+        assert raw_of(-200.0, Q88) == -32768
 
     def test_rounding(self):
-        assert quantize(0.005, Q88) == 1  # 1.28 rounds to 1
+        assert raw_of(0.005, Q88) == 1  # 1.28 rounds to 1
 
     def test_round_half_to_even(self):
-        assert quantize(0.5 / 256, Q88) == 0  # halfway, rounds to even 0
-        assert quantize(1.5 / 256, Q88) == 2  # halfway, rounds to even 2
+        assert raw_of(0.5 / 256, Q88) == 0  # halfway, rounds to even 0
+        assert raw_of(1.5 / 256, Q88) == 2  # halfway, rounds to even 2
 
     def test_nan_is_an_error(self):
         with pytest.raises(ValueError):
-            quantize(float("nan"), Q88)
+            raw_of(float("nan"), Q88)
         with pytest.raises(ValueError):
             FixedPointTensor.from_real(np.array([0.0, np.nan]), Q88)
 
@@ -114,7 +118,7 @@ class TestQuantize:
         rng = np.random.default_rng(0)
         xs = rng.uniform(-100.0, 100.0, size=2000)
         for x in xs:
-            back = dequantize(quantize(float(x), Q88), Q88)
+            back = raw_of(float(x), Q88) / Q88.scale
             assert abs(back - x) <= 2.0 ** -(Q88.frac_bits + 1) + 1e-15
 
     def test_roundtrip_of_out_of_range_values_tracks_the_clamp(self):
@@ -122,7 +126,7 @@ class TestQuantize:
         hi = Q88.raw_max / Q88.scale
         rng = np.random.default_rng(2)
         for x in rng.uniform(-500.0, 500.0, size=2000):
-            back = dequantize(quantize(float(x), Q88), Q88)
+            back = raw_of(float(x), Q88) / Q88.scale
             clamped = min(max(float(x), lo), hi)
             assert abs(back - clamped) <= 2.0 ** -(Q88.frac_bits + 1) + 1e-15
 
@@ -135,11 +139,11 @@ class TestQuantize:
     @given(FORMATS, REALS, REALS)
     def test_monotone(self, fmt, a, b):
         a, b = min(a, b), max(a, b)
-        assert quantize(a, fmt) <= quantize(b, fmt)
+        assert raw_of(a, fmt) <= raw_of(b, fmt)
 
     @given(FORMATS, REALS)
     def test_saturates_at_the_format_limits(self, fmt, x):
-        raw = quantize(x, fmt)
+        raw = raw_of(x, fmt)
         assert fmt.raw_min <= raw <= fmt.raw_max
         if x * fmt.scale >= fmt.raw_max:
             assert raw == fmt.raw_max
@@ -155,7 +159,7 @@ class TestQuantize:
         raw = FixedPointTensor.from_real(values, fmt).raw
         assert raw.dtype == np.int64
         np.testing.assert_array_equal(raw, expected)
-        assert [quantize(float(v), fmt) for v in values] == expected.tolist()
+        assert [raw_of(float(v), fmt) for v in values] == expected.tolist()
 
     @settings(deadline=None)
     @given(
@@ -187,8 +191,8 @@ class TestQuantize:
     def test_tensor_roundtrip(self):
         values = np.array([[1.5, -0.25], [0.0, 3.75]])
         tensor = FixedPointTensor.from_real(values, Q88)
-        np.testing.assert_array_equal(tensor.to_real(), values)  # all on the grid
-        assert tensor.shape == (2, 2)
+        np.testing.assert_array_equal(tensor.raw / Q88.scale, values)  # all on the grid
+        assert tensor.raw.shape == (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +385,23 @@ class TestTimingModel:
         for clock_mhz in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="clock_mhz must be finite and > 0"):
                 AcceleratorConfig(clock_mhz=clock_mhz)
+        # sizes whose op count or latency cannot be converted to a float
+        for geometry in ({"chunk_len": 10**400}, {"num_pes": 10**200, "lanes_per_pe": 10**200}):
+            with pytest.raises(ValueError, match="too large: a batch's report overflows a float"):
+                AcceleratorConfig(**geometry)
+        with pytest.raises(ValueError, match="too large: a batch's GOPS is not finite"):
+            AcceleratorConfig(num_pes=500, clock_mhz=1.7e308)
+
+    @settings(deadline=None)
+    @given(st.integers(-2, 10**400), st.integers(-2, 10**400), st.integers(-2, 10**400), st.floats())
+    def test_every_config_that_constructs_has_a_finite_report(self, pes, lanes, chunk, clock_mhz):
+        try:
+            config = AcceleratorConfig(num_pes=pes, lanes_per_pe=lanes, chunk_len=chunk, clock_mhz=clock_mhz)
+        except ValueError:
+            return
+        report = MacArrayCore(config).report()
+        assert math.isfinite(report.latency_ns) and math.isfinite(report.gops)
+        assert throughput_report(config).gops == report.gops
 
     @pytest.mark.parametrize("clock_mhz", [1e-320, 5e-324, 1e-305])
     def test_clock_too_small_for_a_finite_latency(self, clock_mhz):

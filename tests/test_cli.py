@@ -209,7 +209,7 @@ class TestGenerate:
         assert main(["generate", str(model), "--vocab", str(vocab_out),
                      "--max-len", "20", "--seed", "3"]) == 0
         for word in capsys.readouterr().out.split():
-            assert word in vocab
+            assert word in vocab.words
 
     def test_max_len_zero_fails(self, tmp_path, corpus_file, capsys):
         model, vocab_out = self.setup_model(tmp_path, corpus_file)
@@ -256,6 +256,18 @@ class TestAccelBench:
         assert captured.err == (
             "error: clock_mhz 1e-320 is too small: a batch's latency in ns is not finite\n"
         )
+
+    @pytest.mark.parametrize("size, error", [
+        (10**200, "error: num_pes * lanes_per_pe * chunk_len is too large: a batch's report overflows a float"),
+        # 10^12 rows x 50 int64 weights is 364 TiB, beyond the 128 TiB x86-64 user
+        # address space: the allocation fails before any memory is touched.
+        (10**6, "error: Unable to allocate 364. TiB"),
+    ], ids=["too-large-to-time", "unallocatable"])
+    def test_geometry_too_large_is_a_one_line_data_error(self, size, error, capsys):
+        assert main(["accel-bench", "--pes", str(size), "--lanes", str(size)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(error) and captured.err.count("\n") == 1
 
     def test_tiny_clock_still_reports(self, capsys):
         assert main(["accel-bench", "--clock-mhz", "1e-300"]) == 0

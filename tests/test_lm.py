@@ -1,4 +1,4 @@
-"""Forward-path tests: activations, RNN cell, LSTM cell, and the 3-layer
+"""Forward-path tests: activations, LSTM cell, and the 3-layer
 stack, checked against independent scalar (pure Python) oracles."""
 
 import dataclasses
@@ -10,11 +10,9 @@ import pytest
 from drnnsim import lm
 from drnnsim.lm import (
     LstmLayerParams,
-    RnnParams,
     hard_sigmoid,
     init_params,
     lstm_cell_forward,
-    rnn_step,
     softmax,
     stack_forward,
     stack_forward_trace,
@@ -107,53 +105,6 @@ class TestSoftmax:
             out = softmax(rng.normal(scale=30.0, size=17))
             assert abs(out.sum() - 1.0) < 1e-12
             assert np.all(out >= 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Vanilla RNN step
-# ---------------------------------------------------------------------------
-
-class TestRnnStep:
-    def test_zero_params_give_uniform_output(self):
-        params = RnnParams(U=np.zeros((3, 5)), W=np.zeros((3, 3)), V=np.zeros((5, 3)))
-        s, o = rnn_step(params, 2, np.zeros(3))
-        np.testing.assert_array_equal(s, np.zeros(3))
-        np.testing.assert_allclose(o, np.full(5, 0.2), atol=1e-15)
-
-    def test_zero_state_selects_input_column(self):
-        rng = np.random.default_rng(4)
-        params = RnnParams(U=rng.normal(size=(3, 5)), W=rng.normal(size=(3, 3)),
-                           V=rng.normal(size=(5, 3)))
-        s, _ = rnn_step(params, 1)  # default state is all zeros
-        np.testing.assert_allclose(s, np.tanh(params.U[:, 1]), atol=1e-15)
-
-    def test_matches_scalar_arithmetic(self):
-        U = np.array([[0.1, -0.2], [0.3, 0.4]])
-        W = np.array([[0.5, -0.1], [0.2, 0.6]])
-        V = np.array([[0.7, -0.3], [0.1, 0.9]])
-        s_prev = [0.25, -0.5]
-        params = RnnParams(U=U, W=W, V=V)
-        s, o = rnn_step(params, 0, np.array(s_prev))
-        s_ref = [
-            math.tanh(0.1 + 0.5 * 0.25 + (-0.1) * (-0.5)),
-            math.tanh(0.3 + 0.2 * 0.25 + 0.6 * (-0.5)),
-        ]
-        o_ref = scalar_softmax(scalar_matvec(V.tolist(), s_ref))
-        np.testing.assert_allclose(s, s_ref, atol=1e-12)
-        np.testing.assert_allclose(o, o_ref, atol=1e-12)
-
-    def test_invalid_token_id(self):
-        params = RnnParams(U=np.zeros((2, 3)), W=np.zeros((2, 2)), V=np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            rnn_step(params, 3, np.zeros(2))
-
-    @pytest.mark.parametrize("W_shape, V_shape, match", [
-        ((2, 3), (3, 2), r"W shape \(2, 3\) != \(2, 2\)"),
-        ((2, 2), (2, 3), r"V shape \(2, 3\) != \(3, 2\)"),
-    ], ids=["W", "V"])
-    def test_constructor_rejects_mismatched_shapes(self, W_shape, V_shape, match):
-        with pytest.raises(ValueError, match=match):
-            RnnParams(U=np.zeros((2, 3)), W=np.zeros(W_shape), V=np.zeros(V_shape))
 
 
 # ---------------------------------------------------------------------------

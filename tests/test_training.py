@@ -21,7 +21,6 @@ from drnnsim.training import (
     sequence_loss,
     sgd_step,
     train,
-    zero_gradients,
 )
 
 
@@ -160,12 +159,20 @@ def param_bytes(params):
     return {name: arr.tobytes() for name, arr in named_arrays(params).items()}
 
 
+def zeroed_gradients(params, pair):
+    """Real BPTT gradients of ``pair`` with every entry set to zero."""
+    _, grads = bptt_gradients(params, pair)
+    for g in named_arrays(grads).values():
+        g[...] = 0.0
+    return grads
+
+
 class TestSgdStep:
     def test_zero_gradients_leave_params_unchanged(self):
         params = lm.init_params(hidden=3, vocab=6, seed=1)
         before = param_bytes(params)
-        grads = zero_gradients(params)
-        assert grads.layers[0].U.shape == (12, 0) and grads.input_ids.size == 0
+        grads = zeroed_gradients(params, TrainingPair(input=[5, 0, 3, 0], label=[0, 3, 0, 4]))
+        assert grads.layers[0].U.shape == (12, 3) and grads.input_ids.tolist() == [0, 3, 5]
         sgd_step(params, grads, learning_rate=0.5)
         assert param_bytes(params) == before
 
@@ -186,7 +193,7 @@ class TestSgdStep:
     def test_update_arithmetic(self):
         params = lm.init_params(hidden=2, vocab=4, seed=0)
         params.V[:] = 1.0
-        grads = zero_gradients(params)
+        grads = zeroed_gradients(params, TrainingPair(input=[3, 1, 2], label=[1, 2, 0]))
         grads.V[:] = 0.5
         sgd_step(params, grads, learning_rate=0.1)
         np.testing.assert_allclose(params.V, np.full((4, 2), 0.95), atol=1e-15)
@@ -289,7 +296,7 @@ class TestTrain:
         _, log = train(params, pairs, TrainConfig(
             learning_rate=0.02, epochs=3, eval_interval=10, rng_seed=4))
         # 30 steps -> interval records at steps 10, 20, 30 plus 3 epoch records
-        assert [r.step for r in log.interval_records()] == [10, 20, 30]
+        assert [r.step for r in log.records if r.kind == "interval"] == [10, 20, 30]
         assert [r.step for r in log.epoch_records()] == [10, 20, 30]
 
     def test_divergence_aborts_with_step_index(self):
