@@ -403,6 +403,14 @@ class TestTimingModel:
         assert math.isfinite(report.latency_ns) and math.isfinite(report.gops)
         assert throughput_report(config).gops == report.gops
 
+    def test_largest_geometry_that_constructs_has_a_finite_report(self):
+        # 10^100 x 10^100 rows construct; 10^200 x 10^200 do not (see above).
+        config = AcceleratorConfig(num_pes=10**100, lanes_per_pe=10**100)
+        report = MacArrayCore(config).report()
+        assert report.mult_ops == 10**200 * 50 and report.latency_ns == 250.0
+        assert report.gops == 2 * 10**200 * 50 / 250.0
+        assert throughput_report(config).gops == report.gops
+
     @pytest.mark.parametrize("clock_mhz", [1e-320, 5e-324, 1e-305])
     def test_clock_too_small_for_a_finite_latency(self, clock_mhz):
         with pytest.raises(ValueError, match="too small: a batch's latency in ns is not finite"):

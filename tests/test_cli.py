@@ -257,6 +257,13 @@ class TestAccelBench:
             "error: clock_mhz 1e-320 is too small: a batch's latency in ns is not finite\n"
         )
 
+    def test_clock_too_large_for_a_finite_gops(self, capsys):
+        # 100 x 10 rows at 1.7e308 MHz give 2 * 1000 * 1.7e308 / 1000 GOPS: inf.
+        assert main(["accel-bench", "--pes", "100", "--clock-mhz", "1.7e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: clock_mhz 1.7e+308 is too large: a batch's GOPS is not finite\n"
+
     @pytest.mark.parametrize("size, error", [
         (10**200, "error: num_pes * lanes_per_pe * chunk_len is too large: a batch's report overflows a float"),
         # 10^12 rows x 50 int64 weights is 364 TiB, beyond the 128 TiB x86-64 user
@@ -309,6 +316,9 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self):
         assert main(["train", "tokens.txt"]) == 1
+
+    def test_unknown_flag(self):
+        assert main(["accel-bench", "--frobnicate"]) == 1
 
     def test_bad_flag_value(self):
         assert main(["accel-bench", "--pes", "many"]) == 1
