@@ -45,9 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tokens", help="encoded corpus file from prep")
     p.add_argument("--vocab", required=True, help="vocabulary file from prep")
     p.add_argument("--hidden", type=int, default=lm.DEFAULT_HIDDEN)
-    p.add_argument("--epochs", type=int, default=245)
-    p.add_argument("--lr", type=float, default=0.005)
-    p.add_argument("--eval-interval", type=int, default=100)
+    p.add_argument("--epochs", type=int, default=training.TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=training.TrainConfig.learning_rate)
+    p.add_argument("--eval-interval", type=int, default=training.TrainConfig.eval_interval)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model-out", default="model.drnn")
     p.add_argument("--log-out", default="train_log.csv")
@@ -69,9 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("accel-bench", help="run batches on the accelerator model")
-    p.add_argument("--pes", type=int, default=5)
-    p.add_argument("--lanes", type=int, default=10)
-    p.add_argument("--clock-mhz", type=float, default=200.0)
+    p.add_argument("--pes", type=int, default=accel.AcceleratorConfig.num_pes)
+    p.add_argument("--lanes", type=int, default=accel.AcceleratorConfig.lanes_per_pe)
+    p.add_argument("--clock-mhz", type=float, default=accel.AcceleratorConfig.clock_mhz)
     p.add_argument("--batches", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace-out", default=None, help="write the batch trace CSV here")
@@ -134,9 +134,9 @@ def cmd_eval(args) -> int:
     print(f"mean loss {mean_loss:.6f} nats/token")
     print(f"perplexity {ppl:.6f}")
     if args.csv_out:
-        Path(args.csv_out).write_text(
-            f"{training.CSV_HEADER}\n0,0,{mean_loss:.17g},{ppl:.17g}\n", encoding="utf-8"
-        )
+        log = training.TrainingLog()
+        log.add(0, 0, mean_loss, kind="eval")
+        log.write_csv(args.csv_out)
     return EXIT_OK
 
 
@@ -146,12 +146,12 @@ def cmd_generate(args) -> int:
         raise ValueError("max-len must be >= 1")
     rng = np.random.default_rng(args.seed)
     state = lm.zero_state(params)
-    token = vocab.start_id
+    token = corpus.start_token_id(vocab.size)
     words = []
     for _ in range(args.max_len):
         probs, state = lm.stack_step(params, token, state)
         token = int(np.argmax(probs)) if args.greedy else int(rng.choice(params.vocab, p=probs))
-        if token == vocab.end_id:
+        if token == corpus.end_token_id(vocab.size):
             break
         words.append(vocab.decode(token))
     print(" ".join(words))

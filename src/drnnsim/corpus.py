@@ -74,21 +74,9 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.words)
 
-    @property
-    def start_id(self) -> int:
-        return start_token_id(self.size)
-
-    @property
-    def end_id(self) -> int:
-        return end_token_id(self.size)
-
-    @property
-    def unknown_id(self) -> int:
-        return unknown_token_id(self.size)
-
     def encode(self, word: str) -> int:
         """Token id of a word; out-of-vocabulary words map to the unknown id."""
-        return self.index_of.get(word, self.unknown_id)
+        return self.index_of.get(word, unknown_token_id(self.size))
 
     def decode(self, token_id: int) -> str:
         if not 0 <= token_id < self.size:

@@ -163,11 +163,9 @@ class ThroughputReport:
         return "\n".join(lines) + "\n"
 
 
-def throughput_report(config: AcceleratorConfig | None = None) -> ThroughputReport:
-    """Modeled GOPS of one batch plus speedup ratios against the baselines."""
-    core = MacArrayCore(config)
-    report = core.report()
-    gops = report.gops
+def throughput_report() -> ThroughputReport:
+    """Modeled GOPS of one batch of the default core plus speedup ratios against the baselines."""
+    gops = MacArrayCore().report().gops
     rows = [
         ThroughputRow("mac array (this model)", gops, "GOPS", 1.0),
         ThroughputRow(

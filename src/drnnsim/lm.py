@@ -169,8 +169,8 @@ def lstm_cell_forward(layer: LstmLayerParams, x, h_prev: np.ndarray, c_prev: np.
 class LayerTrace:
     """One layer's forward values over a sequence, stacked over time.
 
-    ``h`` and ``c`` have T+1 rows: the state before the first step, then
-    the state after each step. Row t of ``z`` and ``act`` holds step t's
+    ``h`` and ``c`` have T+1 rows: the zero state before the first step,
+    then the state after each step. Row t of ``z`` and ``act`` holds step t's
     pre-activations and gate values (order f, i, o, g).
     """
 
@@ -180,19 +180,18 @@ class LayerTrace:
     act: np.ndarray
 
 
-def _layer_forward(layer: LstmLayerParams, inputs, h0: np.ndarray, c0: np.ndarray) -> LayerTrace:
-    """One layer over the sequence; ``inputs`` are token ids (layer 0) or the layer below's h rows."""
+def _layer_forward(layer: LstmLayerParams, inputs) -> LayerTrace:
+    """One layer over the sequence from the zero state; ``inputs`` are ids (layer 0) or the h rows below."""
     steps, hidden = len(inputs), layer.hidden
-    tr = LayerTrace(np.empty((steps + 1, hidden)), np.empty((steps + 1, hidden)),
+    tr = LayerTrace(np.zeros((steps + 1, hidden)), np.zeros((steps + 1, hidden)),
                     np.empty((steps, 4 * hidden)), np.empty((steps, 4 * hidden)))
-    tr.h[0], tr.c[0] = h0, c0
     for t, x in enumerate(inputs):
         tr.h[t + 1], tr.c[t + 1], tr.z[t], tr.act[t] = _cell(layer, x, tr.h[t], tr.c[t])
     return tr
 
 
-def stack_forward_trace(params: LstmStackParams, input_ids, state0: LstmState | None = None):
-    """Run the 3-layer stack over a token sequence, keeping what BPTT needs.
+def stack_forward_trace(params: LstmStackParams, input_ids):
+    """Run the 3-layer stack over a token sequence from the zero state, keeping what BPTT needs.
 
     Layer-major: each layer runs over the whole sequence before the next
     one starts, the mirror of the backward pass. Returns (outputs, traces):
@@ -201,17 +200,16 @@ def stack_forward_trace(params: LstmStackParams, input_ids, state0: LstmState | 
     ids = [int(x) for x in input_ids]
     if not ids:
         raise ValueError("input sequence is empty")
-    state = state0 if state0 is not None else zero_state(params)
     traces: list[LayerTrace] = []
-    for layer, h0, c0 in zip(params.layers, state.h, state.c):
-        traces.append(_layer_forward(layer, traces[-1].h[1:] if traces else ids, h0, c0))
+    for layer in params.layers:
+        traces.append(_layer_forward(layer, traces[-1].h[1:] if traces else ids))
     outputs = [softmax(params.V @ h) for h in traces[-1].h[1:]]
     return outputs, traces
 
 
-def stack_forward(params: LstmStackParams, input_ids, state0: LstmState | None = None):
-    """Forward over a token sequence; returns (outputs, state after the last token)."""
-    outputs, traces = stack_forward_trace(params, input_ids, state0)
+def stack_forward(params: LstmStackParams, input_ids):
+    """Forward from the zero state; returns (outputs, state after the last token), which ``stack_step`` continues."""
+    outputs, traces = stack_forward_trace(params, input_ids)
     return outputs, LstmState([tr.h[-1] for tr in traces], [tr.c[-1] for tr in traces])
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import TrainingPair, end_token_id, start_token_id
+from .corpus import TrainingPair, start_token_id
 from .lm import (
     GATE_PARAM_FIELDS,
     N_LAYERS,
@@ -233,7 +233,7 @@ class TrainRecord:
     step: int
     mean_loss: float  # nats per token
     perplexity: float
-    kind: str  # "epoch" or "interval"
+    kind: str  # "epoch" or "interval" from train(); "eval" for the one record `drnnsim eval --csv-out` writes
 
 
 CSV_HEADER = "epoch,step,mean_loss,perplexity"
@@ -361,10 +361,10 @@ def load_model(path) -> LstmStackParams:
     checked against the topology named by V's shape before anything is
     allocated; each array is then decoded straight into its gate block.
     """
-    data = Path(path).read_bytes()
+    data = memoryview(Path(path).read_bytes())  # slices share the file's bytes, no copy
     offset = 0
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal offset
         if offset + n > len(data):
             raise ModelFormatError("truncated model file")
@@ -382,7 +382,7 @@ def load_model(path) -> LstmStackParams:
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
         try:
-            name = take(name_len).decode("utf-8")
+            name = str(take(name_len), "utf-8")
         except UnicodeDecodeError:
             raise ModelFormatError("array name is not valid UTF-8") from None
         if name in index:

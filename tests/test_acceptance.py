@@ -14,7 +14,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from drnnsim import accel, corpus, cosim, lm, training
 from drnnsim.cli import main

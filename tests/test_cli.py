@@ -1,6 +1,5 @@
 """End-to-end command-line tests (prep, train, eval, generate, bench, cosim)."""
 
-import numpy as np
 import pytest
 
 from drnnsim import corpus, lm, training

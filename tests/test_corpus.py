@@ -84,10 +84,10 @@ class TestBuildVocab:
 
     def test_specials_occupy_highest_indices(self):
         vocab = build_vocab([["a", "b"]], max_words=10)
-        assert vocab.decode(vocab.start_id) == SENTENCE_START
-        assert vocab.decode(vocab.end_id) == SENTENCE_END
-        assert vocab.decode(vocab.unknown_id) == UNKNOWN_TOKEN
-        assert vocab.unknown_id == vocab.size - 1
+        assert vocab.decode(corpus.start_token_id(vocab.size)) == SENTENCE_START
+        assert vocab.decode(corpus.end_token_id(vocab.size)) == SENTENCE_END
+        assert vocab.decode(corpus.unknown_token_id(vocab.size)) == UNKNOWN_TOKEN
+        assert corpus.unknown_token_id(vocab.size) == vocab.size - 1
 
     def test_frequencies_non_increasing(self):
         rng = random.Random(11)
@@ -107,7 +107,7 @@ class TestVocabulary:
 
     def test_unknown_word_maps_to_unknown_id(self):
         vocab = build_vocab([["known"]], max_words=5)
-        assert vocab.encode("never-seen") == vocab.unknown_id
+        assert vocab.encode("never-seen") == corpus.unknown_token_id(vocab.size)
 
     def test_decode_out_of_range(self):
         vocab = build_vocab([["a"]], max_words=5)
@@ -136,14 +136,14 @@ class TestTrainingPairs:
     def test_minimal_sentence(self):
         vocab = build_vocab([["hi"]], max_words=5)
         (pair,) = make_training_pairs([["hi"]], vocab)
-        assert pair.input == [vocab.start_id, vocab.encode("hi")]
-        assert pair.label == [vocab.encode("hi"), vocab.end_id]
+        assert pair.input == [corpus.start_token_id(vocab.size), vocab.encode("hi")]
+        assert pair.label == [vocab.encode("hi"), corpus.end_token_id(vocab.size)]
 
     def test_oov_word_encodes_to_unknown(self):
         vocab = build_vocab([["hi"]], max_words=5)
         (pair,) = make_training_pairs([["hi", "stranger"]], vocab)
-        assert pair.input[2] == vocab.unknown_id
-        assert pair.label[1] == vocab.unknown_id
+        assert pair.input[2] == corpus.unknown_token_id(vocab.size)
+        assert pair.label[1] == corpus.unknown_token_id(vocab.size)
 
     def test_pair_invariants(self):
         sentences = tokenize("the cat sat. the dog ran away. hi!")
@@ -152,8 +152,8 @@ class TestTrainingPairs:
         assert len(pairs) == 3
         for pair in pairs:
             assert len(pair.input) == len(pair.label)
-            assert pair.input[0] == vocab.start_id
-            assert pair.label[-1] == vocab.end_id
+            assert pair.input[0] == corpus.start_token_id(vocab.size)
+            assert pair.label[-1] == corpus.end_token_id(vocab.size)
             for t in range(len(pair.input) - 1):
                 assert pair.label[t] == pair.input[t + 1]
             assert all(0 <= i < vocab.size for i in pair.input + pair.label)

@@ -1,12 +1,10 @@
 """Backpropagation-through-time gradients checked entry by entry against a
 central finite-difference oracle."""
 
-import math
-
 import numpy as np
 import pytest
 
-from drnnsim import lm, training
+from drnnsim import lm
 from drnnsim.corpus import TrainingPair
 from drnnsim.training import bptt_gradients, cross_entropy, named_arrays, sequence_loss
 from grad_helpers import dense_input_gradient, dense_named_gradients
