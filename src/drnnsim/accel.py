@@ -70,10 +70,9 @@ class FixedPointFormat:
 
 @dataclass
 class FixedPointTensor:
-    """Integer raw values plus the format that gives them meaning."""
+    """Integer raw values on a fixed-point grid: value = raw / fmt.scale for the ``fmt`` of ``from_real``."""
 
     raw: np.ndarray
-    fmt: FixedPointFormat
 
     @classmethod
     def from_real(cls, values, fmt: FixedPointFormat) -> "FixedPointTensor":
@@ -88,7 +87,7 @@ class FixedPointTensor:
             raw = np.clip(raw, fmt.raw_min, fmt.raw_max)
             if np.isnan(raw).any():  # NaN passes through rint and clip
                 raise ValueError("cannot quantize NaN")
-        return cls(raw=raw.astype(np.int64), fmt=fmt)
+        return cls(raw=raw.astype(np.int64))
 
 
 def matvec_error_bound(w_max: float, x_max: float, chunk_len: int, fmt: FixedPointFormat) -> float:
@@ -279,11 +278,8 @@ def matvec_fixed(core: MacArrayCore, w_real, x_real, fmt: FixedPointFormat) -> n
 
 
 def _check_operand_range(values: np.ndarray, label: str) -> None:
-    kind = values.dtype.kind
-    if kind not in "biuf":
+    if values.dtype.kind not in "biu":
         raise ValueError(f"{label} values must be integers, not {values.dtype}")
-    if kind == "f" and not np.all(values == np.round(values)):
-        raise ValueError(f"{label} values must be integers")
     if values.size and (
         np.minimum.reduce(values, None) < _INT16_MIN or np.maximum.reduce(values, None) > _INT16_MAX
     ):

@@ -135,7 +135,8 @@ def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocab(path: str | Path) -> Vocabulary:
-    words = Path(path).read_text(encoding="utf-8").splitlines()
+    """Read a file written by ``save_vocab``; a line ends only at LF (or CRLF)."""
+    words = Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
     return Vocabulary(words)
 
 
@@ -148,11 +149,13 @@ def save_encoded_corpus(encoded_sentences: list[list[int]], path: str | Path) ->
 def load_encoded_corpus(path: str | Path, vocab_size: int) -> list[list[int]]:
     """Read a file written by ``save_encoded_corpus``; blank lines are skipped.
 
-    Each token must be an ASCII decimal id, which excludes signs, ``_``
-    separators and non-ASCII digits that ``int()`` would accept.
+    A line ends only at LF (or CRLF); any other line-break character is
+    whitespace between two ids. Each token must be an ASCII decimal id,
+    which excludes signs, ``_`` separators and non-ASCII digits that
+    ``int()`` would accept.
     """
     sentences = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         if not line.strip():
             continue
         tokens = line.split()

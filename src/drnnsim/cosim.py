@@ -16,7 +16,7 @@ from .accel import (
     matvec_fixed,
     stream_roundtrip,
 )
-from .lm import LstmLayerParams
+from .lm import LstmLayerParams, _check_token_id
 
 # Externally published baseline figures, used for ratio comparison only
 # (never measured here). The first is a fixed-point LSTM-cell accelerator,
@@ -105,14 +105,7 @@ def offload_gate_preactivation(
     reference, the observed max error, and the analytic quantization bound.
     """
     config = config or AcceleratorConfig()
-    hidden = layer.hidden
-    if hidden != config.chunk_len or hidden != config.rows:
-        raise ValueError(
-            f"layer hidden size {hidden} does not match core geometry "
-            f"({config.rows} rows x {config.chunk_len} chunk)"
-        )
-    if not 0 <= x_id < layer.input_dim:
-        raise ValueError(f"token id {x_id} out of range [0, {layer.input_dim})")
+    _check_token_id(x_id, layer.input_dim)
     h_prev = np.asarray(h_prev, dtype=np.float64)
 
     core = MacArrayCore(config)

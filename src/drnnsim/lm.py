@@ -49,9 +49,10 @@ class LstmLayerParams:
     """One LSTM layer as three fused arrays, row blocks in gate order f, i, o, g.
 
     ``W`` is 4H x H (recurrent), ``U`` is 4H x I (input), ``b`` has 4H
-    entries. The per-gate names ``Wf`` ... ``bg`` are views of the blocks:
-    reads and in-place writes reach the fused storage, and they stay
-    aliased after ``copy.deepcopy`` because they are derived on access.
+    entries. The per-gate names ``Wf`` ... ``bg`` are read-only attributes
+    whose values are views of the blocks: in-place writes through them
+    (``layer.bf[...] += 1``) reach the fused storage, and they stay aliased
+    after ``copy.deepcopy`` because they are derived on access.
     """
 
     W: np.ndarray
@@ -75,17 +76,14 @@ class LstmLayerParams:
 
 
 def _gate_block(fused: str, k: int) -> property:
-    """Row block ``k`` of the fused array ``fused``, as a view; assignment writes into it."""
+    """Row block ``k`` of the fused array ``fused``, as a view."""
 
     def view(layer: LstmLayerParams) -> np.ndarray:
         arr = getattr(layer, fused)
         rows = len(arr) // 4
         return arr[k * rows:(k + 1) * rows]
 
-    def assign(layer: LstmLayerParams, value) -> None:
-        view(layer)[...] = value
-
-    return property(view, assign)
+    return property(view)
 
 
 # Per-gate names in container order: recurrent weights, input weights, biases.

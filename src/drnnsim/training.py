@@ -32,10 +32,6 @@ LOSS_EPS = 1e-12
 class DivergenceError(RuntimeError):
     """Raised when training produces non-finite losses or gradients."""
 
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
-
 
 class ModelFormatError(ValueError):
     """Raised when a model file is corrupt or has an unknown layout."""
@@ -151,8 +147,6 @@ def bptt_gradients(params: LstmStackParams, pair: TrainingPair):
     one product of arrays stacked over the sequence. Returns (loss,
     Gradients).
     """
-    if len(pair.input) != len(pair.label):
-        raise ValueError("input and label lengths differ")
     outputs, traces = stack_forward_trace(params, pair.input)
     loss = sequence_loss(outputs, pair.label)
 
@@ -286,11 +280,11 @@ def train(params: LstmStackParams, pairs: list[TrainingPair], config: TrainConfi
             pair = pairs[idx]
             loss, grads = bptt_gradients(params, pair)
             if not math.isfinite(loss):
-                raise DivergenceError(f"diverged: non-finite loss at step {step + 1}", step=step + 1)
+                raise DivergenceError(f"diverged: non-finite loss at step {step + 1}")
             try:
                 sgd_step(params, grads, config.learning_rate)
             except DivergenceError as err:
-                raise DivergenceError(f"{err} at step {step + 1}", step=step + 1) from None
+                raise DivergenceError(f"{err} at step {step + 1}") from None
             step += 1
             tokens = len(pair.label)
             epoch_nats += loss
@@ -378,46 +372,48 @@ def load_model(path) -> LstmStackParams:
     if version != MODEL_VERSION:
         raise ModelFormatError(f"unknown model version {version}")
 
-    index: dict[str, tuple[np.dtype, tuple[int, ...], int]] = {}  # name -> dtype, shape, data offset
+    arrays: dict[str, np.ndarray] = {}  # name -> its data, a view of the file's bytes
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
         try:
             name = str(take(name_len), "utf-8")
         except UnicodeDecodeError:
             raise ModelFormatError("array name is not valid UTF-8") from None
-        if name in index:
+        if name in arrays:
             raise ModelFormatError(f"duplicate array {name}")
         code, rank = struct.unpack("<BB", take(2))
         if code not in _DTYPE_NP:
             raise ModelFormatError(f"unknown dtype code {code}")
-        shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(rank))
+        shape = struct.unpack(f"<{rank}Q", take(8 * rank))
         np_dtype = _DTYPE_NP[code]
-        index[name] = (np_dtype, shape, offset)
-        take(math.prod(shape) * np_dtype.itemsize)  # Python ints: no overflow
+        raw = take(math.prod(shape) * np_dtype.itemsize)  # Python ints: no overflow
+        try:
+            arrays[name] = np.frombuffer(raw, np_dtype).reshape(shape)
+        except ValueError:  # only a zero-size array gets here: its other dims are too large for numpy
+            raise ModelFormatError(f"array {name} shape {shape} is too large") from None
     if offset != len(data):
         raise ModelFormatError("trailing bytes after last array")
 
-    if "V" not in index:
+    if "V" not in arrays:
         raise ModelFormatError("missing output projection array V")
-    if len(index["V"][1]) != 2:
-        raise ModelFormatError(f"V has rank {len(index['V'][1])}, expected 2")
-    vocab, hidden = index["V"][1]
+    if arrays["V"].ndim != 2:
+        raise ModelFormatError(f"V has rank {arrays['V'].ndim}, expected 2")
+    vocab, hidden = arrays["V"].shape
     expected = {"V": (vocab, hidden)}
     for l in range(N_LAYERS):
         shapes = {"W": (hidden, hidden), "U": (hidden, vocab if l == 0 else hidden), "b": (hidden,)}
         expected.update({f"layer{l}.{name}": shapes[name[0]] for name in GATE_PARAM_FIELDS})
     for name, want in expected.items():
-        if name not in index:
+        if name not in arrays:
             raise ModelFormatError(f"missing array {name}")
-        if index[name][1] != want:
-            raise ModelFormatError(f"array {name} shape {index[name][1]} != {want}")
-    if index.keys() != expected.keys():
-        raise ModelFormatError(f"unexpected arrays: {sorted(index.keys() - expected.keys())}")
+        if arrays[name].shape != want:
+            raise ModelFormatError(f"array {name} shape {arrays[name].shape} != {want}")
+    if arrays.keys() != expected.keys():
+        raise ModelFormatError(f"unexpected arrays: {sorted(arrays.keys() - expected.keys())}")
 
     params = zero_params(hidden, vocab)
     for name, dest in named_arrays(params).items():
-        np_dtype, shape, start = index[name]
-        dest[...] = np.frombuffer(data, dtype=np_dtype, count=dest.size, offset=start).reshape(shape)
+        dest[...] = arrays[name]
         if not np.all(np.isfinite(dest)):
             raise ModelFormatError(f"non-finite values in array {name}")
     return params

@@ -236,14 +236,17 @@ class TestMacArrayCore:
             core.run_batch(np.zeros(shape, dtype=np.int64))
 
     def test_non_integral_float_operands_are_rejected(self):
+        # Operands are integer arrays: a float array is rejected even when every value is integral.
         core = MacArrayCore()
-        with pytest.raises(ValueError, match="^weight values must be integers$"):
-            core.load_weights(np.full((50, 50), 0.5))
-        core.load_weights(np.full((50, 50), 2.0))  # integral floats are operands
+        for weights in (np.full((50, 50), 0.5), np.full((50, 50), 2.0)):
+            with pytest.raises(ValueError, match="^weight values must be integers, not float64$"):
+                core.load_weights(weights)
+        core.load_weights(np.full((50, 50), 2))
         x = np.ones(50)
         x[7] = 1.25
-        with pytest.raises(ValueError, match="^input values must be integers$"):
-            core.run_batch(x)
+        for values in (x, np.ones(50, dtype=np.float32)):
+            with pytest.raises(ValueError, match=f"^input values must be integers, not {values.dtype}$"):
+                core.run_batch(values)
 
     def test_loaded_matrix_drives_the_output(self):
         config = AcceleratorConfig()

@@ -267,8 +267,7 @@ def test_criterion_8_determinism(tmp_path):
         assert main(["train", str(tokens_out), "--vocab", str(vocab_out),
                      "--hidden", "8", "--epochs", "2", "--lr", "0.05", "--seed", "123",
                      "--model-out", str(model_out), "--log-out", str(log_out)]) == 0
-        assert main(["accel-bench", "--batches", "2", "--seed", "123",
-                     "--trace-out", str(trace_out)]) == 0
+        assert main(["accel-bench", "--batches", "2", "--trace-out", str(trace_out)]) == 0
         artifacts.append(
             (model_out.read_bytes(), log_out.read_bytes(), trace_out.read_bytes())
         )

@@ -98,7 +98,7 @@ class TestTrain:
 
     def test_divergence_exits_3(self, tmp_path, corpus_file, capsys, monkeypatch):
         def diverge(params, pairs, config):
-            raise training.DivergenceError("diverged: non-finite loss at step 4", step=4)
+            raise training.DivergenceError("diverged: non-finite loss at step 4")
 
         monkeypatch.setattr(training, "train", diverge)
         _, vocab_out, tokens_out = run_prep(tmp_path, corpus_file)
@@ -288,8 +288,7 @@ class TestAccelBench:
         traces = []
         for tag in ("a", "b"):
             path = tmp_path / f"trace_{tag}.csv"
-            assert main(["accel-bench", "--batches", "3", "--seed", "9",
-                         "--trace-out", str(path)]) == 0
+            assert main(["accel-bench", "--batches", "3", "--trace-out", str(path)]) == 0
             traces.append(path.read_bytes())
         assert traces[0] == traces[1]
 
@@ -318,6 +317,11 @@ class TestUsageErrors:
 
     def test_unknown_flag(self):
         assert main(["accel-bench", "--frobnicate"]) == 1
+
+    def test_accel_bench_takes_no_seed(self, capsys):
+        # The trace depends on the config alone, so there is no seed to set.
+        assert main(["accel-bench", "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
 
     def test_bad_flag_value(self):
         assert main(["accel-bench", "--pes", "many"]) == 1

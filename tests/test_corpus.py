@@ -21,6 +21,9 @@ from drnnsim.corpus import (
     tokenize,
 )
 
+# Every character str.splitlines breaks at except LF and CR, which read_text maps to LF.
+LINE_BREAKS_THAT_ARE_NOT_LF = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 
 def ascii_tokenize(text):
     """The tokenizer as it was before it accepted letters and digits of every script."""
@@ -131,6 +134,17 @@ class TestVocabulary:
         assert lines[-3:] == list(SPECIAL_TOKENS)
         assert corpus.load_vocab(path).words == vocab.words
 
+    @pytest.mark.parametrize("sep", LINE_BREAKS_THAT_ARE_NOT_LF, ids=repr)
+    def test_a_word_line_ends_only_at_lf(self, tmp_path, sep):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join([f"a{sep}b", "c", *SPECIAL_TOKENS]) + "\n", encoding="utf-8")
+        assert corpus.load_vocab(path).words == (f"a{sep}b", "c", *SPECIAL_TOKENS)
+
+    def test_crlf_vocabulary_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes("\r\n".join(["a", "b", *SPECIAL_TOKENS]).encode() + b"\r\n")
+        assert corpus.load_vocab(path).words == ("a", "b", *SPECIAL_TOKENS)
+
 
 class TestTrainingPairs:
     def test_minimal_sentence(self):
@@ -195,6 +209,17 @@ class TestEncodedCorpusFile:
         path.write_text(f"0 1\n2 {token} 3\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^token {re.escape(repr(token))} on line 2 is not a decimal token id$"):
             corpus.load_encoded_corpus(path, vocab_size=5)
+
+    @pytest.mark.parametrize("sep", LINE_BREAKS_THAT_ARE_NOT_LF, ids=repr)
+    def test_a_sentence_line_ends_only_at_lf(self, tmp_path, sep):
+        path = tmp_path / "tokens.txt"
+        path.write_text(f"1 2{sep}3 4\n0\n", encoding="utf-8")
+        assert corpus.load_encoded_corpus(path, vocab_size=5) == [[1, 2, 3, 4], [0]]
+
+    def test_crlf_token_file(self, tmp_path):
+        path = tmp_path / "tokens.txt"
+        path.write_bytes(b"0 1\r\n\r\n2\r\n")
+        assert corpus.load_encoded_corpus(path, vocab_size=5) == [[0, 1], [2]]
 
     def test_out_of_range_id_rejected(self, tmp_path):
         path = tmp_path / "tokens.txt"

@@ -89,7 +89,7 @@ class TestOffload:
 
     def test_dimension_mismatch(self):
         layer = self.make_layer(seed=2, hidden=32)
-        with pytest.raises(ValueError, match="geometry"):
+        with pytest.raises(ValueError, match=r"^weight shape \(32, 32\) != \(50, 50\)$"):
             offload_gate_preactivation(layer, np.zeros(32), 0, Q88)
 
     @pytest.mark.parametrize("x_id", [-1, 200, 10**6])

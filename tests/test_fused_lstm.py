@@ -127,8 +127,8 @@ def saturated_params():
     # hard-sigmoid regions, where the slope is exactly zero
     params = lm.init_params(hidden=3, vocab=6, seed=11)
     for layer in params.layers:
-        layer.bf += 3.0
-        layer.bo -= 3.0
+        layer.bf[...] += 3.0
+        layer.bo[...] -= 3.0
     return params
 
 
@@ -187,6 +187,14 @@ def test_gate_names_are_row_blocks_of_the_fused_arrays():
             np.testing.assert_array_equal(view, getattr(layer, fused)[rows])
     layer.Ug[:] = 7.0
     np.testing.assert_array_equal(layer.U[9:12], np.full((3, 5), 7.0))
+
+
+def test_gate_names_are_read_only_but_their_arrays_are_writable():
+    layer = lm.init_params(hidden=3, vocab=5, seed=0).layers[0]
+    with pytest.raises(AttributeError):
+        layer.Wf = np.ones((3, 3))
+    layer.Wf[...] = np.ones((3, 3))
+    np.testing.assert_array_equal(layer.W[:3], np.ones((3, 3)))
 
 
 def test_in_place_updates_through_named_arrays_survive_deepcopy():

@@ -67,8 +67,8 @@ def test_gradients_with_saturated_gates():
     # analytic slope is exactly zero; the check must still hold
     params = lm.init_params(hidden=3, vocab=6, seed=11)
     for layer in params.layers:
-        layer.bf += 3.0
-        layer.bo -= 3.0
+        layer.bf[...] += 3.0
+        layer.bo[...] -= 3.0
     pair = TrainingPair(input=[4, 1, 0], label=[1, 0, 5])
     check_all_gradients(params, pair)
 

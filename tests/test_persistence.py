@@ -1,6 +1,7 @@
 """Model container round-trip and corruption tests."""
 
 import hashlib
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -121,6 +122,13 @@ class TestCorruption:
         path = tmp_path / "model.drnn"
         write_container(path, [(b"V", (2**32, 2**32), b"")])
         with pytest.raises(ModelFormatError, match="truncated"):
+            load_model(path)
+
+    @pytest.mark.parametrize("shape", [(0, 2**62), (2**40, 0, 2**40), (0, 2**64 - 1)])
+    def test_zero_size_array_whose_dims_numpy_cannot_hold(self, tmp_path, shape):
+        path = tmp_path / "model.drnn"
+        write_container(path, [(b"V", shape, b"")])
+        with pytest.raises(ModelFormatError, match=rf"^array V shape {re.escape(str(shape))} is too large$"):
             load_model(path)
 
     def test_array_name_that_is_not_utf8(self, tmp_path):

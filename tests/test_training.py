@@ -306,9 +306,8 @@ class TestTrain:
         params = lm.init_params(hidden=4, vocab=vocab.size, seed=6)
         params.V[0, 0] = np.nan
         config = TrainConfig(learning_rate=0.01, epochs=2, eval_interval=1000, rng_seed=6)
-        with pytest.raises(DivergenceError) as err:
+        with pytest.raises(DivergenceError, match="^diverged: non-finite loss at step 1$"):
             train(params, pairs, config)
-        assert err.value.step == 1
 
     def test_non_finite_gradient_aborts_with_step_index(self, monkeypatch):
         # a finite loss with a non-finite gradient: sgd_step's error is re-raised with the step
@@ -325,9 +324,8 @@ class TestTrain:
         pairs, vocab = toy_pairs(n_sentences=4, seed=6)
         params = lm.init_params(hidden=4, vocab=vocab.size, seed=6)
         config = TrainConfig(learning_rate=0.01, epochs=2, eval_interval=1000, rng_seed=6)
-        with pytest.raises(DivergenceError, match="^diverged: non-finite gradient at step 3$") as err:
+        with pytest.raises(DivergenceError, match="^diverged: non-finite gradient at step 3$"):
             train(params, pairs, config)
-        assert err.value.step == 3
 
     def test_empty_pairs_is_an_error(self):
         params = lm.init_params(hidden=2, vocab=5, seed=0)
