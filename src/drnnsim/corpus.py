@@ -20,10 +20,10 @@ DEFAULT_VOCAB_BUDGET = 4000
 
 # A sentence ends at . ! or ? followed by whitespace (or end of text).
 _SENTENCE_BREAK = re.compile(r"(?<=[.!?])\s+")
-# A token is a run of letters/digits of any script (apostrophes allowed
-# inside words) or any other single non-space character. ``\w`` also
-# matches "_", so tokenize() spaces each "_" out into a token of its own.
-_TOKEN = re.compile(r"[\w']+|\S")
+# A token is a run of letters/digits of any script and apostrophes, or any
+# other single non-space character. ``[^\W_]`` is ``\w`` without "_", so
+# "_" splits a word and is a token of its own.
+_TOKEN = re.compile(r"(?:[^\W_]|')+|\S")
 
 
 def start_token_id(vocab_size: int) -> int:
@@ -48,7 +48,7 @@ def tokenize(text: str) -> list[list[str]]:
     """
     sentences = []
     for chunk in _SENTENCE_BREAK.split(unicodedata.normalize("NFC", text.lower())):
-        words = _TOKEN.findall(chunk.replace("_", " _ "))
+        words = _TOKEN.findall(chunk)
         if words:
             sentences.append(words)
     return sentences
@@ -67,6 +67,9 @@ class Vocabulary:
             raise ValueError("vocabulary must end with the three special tokens")
         if len(set(words)) != len(words):
             raise ValueError("vocabulary contains duplicate words")
+        for word in words:
+            if "\n" in word or "\r" in word:
+                raise ValueError(f"vocabulary word {word!r} contains a line end")
         self.words: tuple[str, ...] = tuple(words)
         self.index_of: dict[str, int] = {w: i for i, w in enumerate(words)}
 
@@ -135,7 +138,7 @@ def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocab(path: str | Path) -> Vocabulary:
-    """Read a file written by ``save_vocab``; a line ends only at LF (or CRLF)."""
+    """Read a file written by ``save_vocab``; a line ends at LF, CRLF or a lone CR."""
     words = Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
     return Vocabulary(words)
 
@@ -149,8 +152,8 @@ def save_encoded_corpus(encoded_sentences: list[list[int]], path: str | Path) ->
 def load_encoded_corpus(path: str | Path, vocab_size: int) -> list[list[int]]:
     """Read a file written by ``save_encoded_corpus``; blank lines are skipped.
 
-    A line ends only at LF (or CRLF); any other line-break character is
-    whitespace between two ids. Each token must be an ASCII decimal id,
+    A line ends at LF, CRLF or a lone CR; any other line-break character
+    is whitespace between two ids. Each token must be an ASCII decimal id,
     which excludes signs, ``_`` separators and non-ASCII digits that
     ``int()`` would accept.
     """

@@ -221,15 +221,6 @@ def stack_step(params: LstmStackParams, x_id: int, state: LstmState):
     return softmax(params.V @ x), LstmState(h, c)
 
 
-def zero_params(hidden: int, vocab: int) -> LstmStackParams:
-    """All-zero parameters of a 3-layer stack."""
-    layers = [
-        LstmLayerParams(np.zeros((4 * hidden, hidden)), np.zeros((4 * hidden, n_in)), np.zeros(4 * hidden))
-        for n_in in [vocab] + [hidden] * (N_LAYERS - 1)
-    ]
-    return LstmStackParams(layers=layers, V=np.zeros((vocab, hidden)))
-
-
 def init_params(hidden: int = DEFAULT_HIDDEN, vocab: int = DEFAULT_VOCAB, seed: int = 0) -> LstmStackParams:
     """Seeded initialization: each matrix uniform in +-1/sqrt(fan_in), biases zero."""
     for name, size in (("hidden", hidden), ("vocab", vocab)):

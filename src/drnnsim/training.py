@@ -14,6 +14,7 @@ import numpy as np
 from .corpus import TrainingPair, start_token_id
 from .lm import (
     GATE_PARAM_FIELDS,
+    GATES,
     N_LAYERS,
     LayerTrace,
     LstmLayerParams,
@@ -21,7 +22,6 @@ from .lm import (
     hard_sigmoid_deriv,
     stack_forward,
     stack_forward_trace,
-    zero_params,
 )
 
 # Probability floor inside the loss so a zero-probability target cannot
@@ -38,34 +38,24 @@ class ModelFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Loss, perplexity, scoring
+# Loss and scoring
 # ---------------------------------------------------------------------------
 
-def cross_entropy(prediction: np.ndarray, target: int) -> float:
-    """Negative log probability of the target token, in nats.
+def sequence_loss(outputs, labels) -> float:
+    """Sum over steps of -log p[label], in nats.
 
-    The predicted probability is floored at LOSS_EPS, which keeps the loss
+    Each target probability is floored at LOSS_EPS, which keeps the loss
     finite and non-negative (a perfect prediction scores exactly 0).
     """
-    prediction = np.asarray(prediction)
-    if not 0 <= target < prediction.shape[0]:
-        raise ValueError(f"target id {target} out of range [0, {prediction.shape[0]})")
-    return -math.log(max(float(prediction[target]), LOSS_EPS))
-
-
-def sequence_loss(outputs, labels) -> float:
-    """Sum of per-step cross-entropies over a sequence, in nats."""
     labels = list(labels)
     if len(outputs) != len(labels):
         raise ValueError(f"{len(outputs)} outputs vs {len(labels)} labels")
-    return sum(cross_entropy(o, y) for o, y in zip(outputs, labels))
-
-
-def perplexity(total_loss: float, token_count: int) -> float:
-    """exp of the mean per-token loss."""
-    if token_count < 1:
-        raise ValueError("token_count must be >= 1")
-    return math.exp(total_loss / token_count)
+    nats = 0.0
+    for p, y in zip(outputs, labels):
+        if not 0 <= y < len(p):
+            raise ValueError(f"target id {y} out of range [0, {len(p)})")
+        nats -= math.log(max(float(p[y]), LOSS_EPS))
+    return nats
 
 
 def score_sentence(params: LstmStackParams, sentence) -> float:
@@ -345,15 +335,17 @@ def save_model(params: LstmStackParams, path, dtype: str = "f64") -> None:
             fh.write(struct.pack("<BB", code, arr.ndim))
             for dim in arr.shape:
                 fh.write(struct.pack("<Q", dim))
-            fh.write(np.ascontiguousarray(arr, dtype=np_dtype).tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype=np_dtype))  # the array's buffer, no bytes copy
 
 
 def load_model(path) -> LstmStackParams:
     """Read a model container back into float64 parameters.
 
     Every malformed file raises ModelFormatError. The headers are read and
-    checked against the topology named by V's shape before anything is
-    allocated; each array is then decoded straight into its gate block.
+    checked against the topology named by V's shape, and the values are
+    checked for finiteness on views of the file's bytes, before any
+    parameter array is allocated; each layer's fused arrays are then built
+    with one concatenation of their gate blocks.
     """
     data = memoryview(Path(path).read_bytes())  # slices share the file's bytes, no copy
     offset = 0
@@ -399,10 +391,11 @@ def load_model(path) -> LstmStackParams:
     if arrays["V"].ndim != 2:
         raise ModelFormatError(f"V has rank {arrays['V'].ndim}, expected 2")
     vocab, hidden = arrays["V"].shape
-    expected = {"V": (vocab, hidden)}
+    expected = {}  # in container order, which the finiteness checks follow
     for l in range(N_LAYERS):
         shapes = {"W": (hidden, hidden), "U": (hidden, vocab if l == 0 else hidden), "b": (hidden,)}
         expected.update({f"layer{l}.{name}": shapes[name[0]] for name in GATE_PARAM_FIELDS})
+    expected["V"] = (vocab, hidden)
     for name, want in expected.items():
         if name not in arrays:
             raise ModelFormatError(f"missing array {name}")
@@ -410,10 +403,12 @@ def load_model(path) -> LstmStackParams:
             raise ModelFormatError(f"array {name} shape {arrays[name].shape} != {want}")
     if arrays.keys() != expected.keys():
         raise ModelFormatError(f"unexpected arrays: {sorted(arrays.keys() - expected.keys())}")
-
-    params = zero_params(hidden, vocab)
-    for name, dest in named_arrays(params).items():
-        dest[...] = arrays[name]
-        if not np.all(np.isfinite(dest)):
+    for name in expected:
+        if not np.all(np.isfinite(arrays[name])):
             raise ModelFormatError(f"non-finite values in array {name}")
-    return params
+
+    def fused(l: int, kind: str) -> np.ndarray:
+        return np.concatenate([arrays[f"layer{l}.{kind}{gate}"] for gate in GATES], dtype=np.float64)
+
+    layers = [LstmLayerParams(*(fused(l, kind) for kind in "WUb")) for l in range(N_LAYERS)]
+    return LstmStackParams(layers, arrays["V"].astype(np.float64))

@@ -2,6 +2,7 @@
 
 import random
 import re
+import tempfile
 import unicodedata
 from collections import Counter
 
@@ -125,6 +126,22 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="duplicate words"):
             Vocabulary(["a", "b", "a", *SPECIAL_TOKENS])
 
+    @pytest.mark.parametrize("word", ["a\rb", "a\nb", "\r\n"], ids=repr)
+    def test_rejects_a_word_holding_a_line_end(self, word):
+        with pytest.raises(ValueError, match=f"^vocabulary word {re.escape(repr(word))} contains a line end$"):
+            Vocabulary([word, "c", *SPECIAL_TOKENS])
+
+    @given(st.lists(st.text(), unique=True))
+    def test_every_vocabulary_that_constructs_survives_the_file(self, words):
+        try:
+            vocab = Vocabulary([*words, *SPECIAL_TOKENS])
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/vocab.txt"
+            corpus.save_vocab(vocab, path)
+            assert corpus.load_vocab(path).words == vocab.words
+
     def test_file_roundtrip(self, tmp_path):
         vocab = build_vocab(tokenize("one two two three three three."), max_words=10)
         path = tmp_path / "vocab.txt"
@@ -142,8 +159,9 @@ class TestVocabulary:
 
     def test_crlf_vocabulary_file(self, tmp_path):
         path = tmp_path / "vocab.txt"
-        path.write_bytes("\r\n".join(["a", "b", *SPECIAL_TOKENS]).encode() + b"\r\n")
-        assert corpus.load_vocab(path).words == ("a", "b", *SPECIAL_TOKENS)
+        for end in ("\r\n", "\r"):  # a lone CR ends a line too: read_text reads universal newlines
+            path.write_bytes(end.join(["a", "b", *SPECIAL_TOKENS]).encode() + end.encode())
+            assert corpus.load_vocab(path).words == ("a", "b", *SPECIAL_TOKENS)
 
 
 class TestTrainingPairs:
@@ -220,6 +238,8 @@ class TestEncodedCorpusFile:
         path = tmp_path / "tokens.txt"
         path.write_bytes(b"0 1\r\n\r\n2\r\n")
         assert corpus.load_encoded_corpus(path, vocab_size=5) == [[0, 1], [2]]
+        path.write_bytes(b"1 2\r3 4\n")  # a lone CR ends a line too
+        assert corpus.load_encoded_corpus(path, vocab_size=5) == [[1, 2], [3, 4]]
 
     def test_out_of_range_id_rejected(self, tmp_path):
         path = tmp_path / "tokens.txt"

@@ -11,23 +11,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drnnsim import lm
+from drnnsim import corpus, lm
 from drnnsim.training import (
     MODEL_MAGIC,
     ModelFormatError,
+    TrainConfig,
     load_model,
     named_arrays,
     save_model,
+    train,
 )
 
 
-def write_container(path, arrays):
-    """A version-1 container of f64 arrays, written field by field."""
+def write_container(path, arrays, code=0):
+    """A version-1 container of arrays of dtype ``code`` (0 = f64, 1 = f32), written field by field."""
     out = [MODEL_MAGIC, struct.pack("<II", 1, len(arrays))]
     for name, shape, raw in arrays:
-        out += [struct.pack("<H", len(name)), name, struct.pack("<BB", 0, len(shape))]
+        out += [struct.pack("<H", len(name)), name, struct.pack("<BB", code, len(shape))]
         out += [struct.pack("<Q", dim) for dim in shape] + [raw]
     path.write_bytes(b"".join(out))
+
+
+def f32_with_nan_in_layer1_bg(arrays):
+    arrays.update({name: arr.astype(np.float32) for name, arr in arrays.items()})
+    arrays["layer1.bg"][1] = np.nan
 
 
 def container_size(params, itemsize):
@@ -87,6 +94,30 @@ class TestRoundTrip:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "abd7d2984b178e016e18b9f01bf27b6027a7861f0feab17fc7093a794bb502a8"
         )
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    def test_loaded_arrays_are_owned_writable_float64(self, tmp_path, dtype):
+        path = tmp_path / "model.drnn"
+        save_model(lm.init_params(hidden=3, vocab=7, seed=4), path, dtype=dtype)
+        loaded = load_model(path)
+        fused = [arr for layer in loaded.layers for arr in (layer.W, layer.U, layer.b)] + [loaded.V]
+        assert len(fused) == 10
+        for arr in fused:
+            assert arr.dtype == np.float64
+            assert arr.flags.c_contiguous and arr.flags.writeable
+            assert arr.base is None
+
+    def test_training_a_loaded_model_equals_training_the_original(self, tmp_path):
+        params = lm.init_params(hidden=4, vocab=9, seed=3)
+        path = tmp_path / "model.drnn"
+        save_model(params, path)
+        pairs = corpus.pairs_from_encoded([[1, 2, 3], [0, 5], [4, 4, 6, 1]], 9)
+        config = TrainConfig(learning_rate=0.1, epochs=1, rng_seed=2)
+        from_file, _ = train(load_model(path), pairs, config)
+        in_memory, _ = train(params, pairs, config)
+        got = named_arrays(from_file)
+        for name, arr in named_arrays(in_memory).items():
+            assert got[name].tobytes() == arr.tobytes(), name
 
     def test_file_size_matches_the_layout(self, tmp_path):
         params = lm.init_params(hidden=3, vocab=6, seed=0)
@@ -196,12 +227,17 @@ class TestCorruption:
         (lambda arrays: arrays.update(V=arrays["V"].ravel()), "V has rank 1, expected 2"),
         (lambda arrays: arrays.update({"layer0.Uf": arrays["layer0.Uf"].T}), r"array layer0.Uf shape \(6, 3\) != \(3, 6\)"),
         (lambda arrays: arrays.update(extra=np.zeros(2)), r"unexpected arrays: \['extra'\]"),
-    ], ids=["missing-V", "V-rank", "wrong-shape", "unexpected-array"])
+        # the four gate blocks still hold 4H rows between them
+        (lambda arrays: arrays.update({"layer0.Wf": np.zeros((4, 3)), "layer0.Wi": np.zeros((2, 3))}),
+         r"^array layer0.Wf shape \(4, 3\) != \(3, 3\)$"),
+        (f32_with_nan_in_layer1_bg, "^non-finite values in array layer1.bg$"),
+    ], ids=["missing-V", "V-rank", "wrong-shape", "unexpected-array", "gate-rows-sum-to-4H", "f32-nan"])
     def test_container_not_matching_the_topology(self, tmp_path, edit, match):
         arrays = dict(named_arrays(lm.init_params(hidden=3, vocab=6, seed=1)))
         edit(arrays)
         path = tmp_path / "model.drnn"
-        write_container(path, [(name.encode(), arr.shape, arr.tobytes()) for name, arr in arrays.items()])
+        code = 1 if all(arr.dtype == np.float32 for arr in arrays.values()) else 0
+        write_container(path, [(name.encode(), arr.shape, arr.tobytes()) for name, arr in arrays.items()], code)
         with pytest.raises(ModelFormatError, match=match):
             load_model(path)
 

@@ -1,4 +1,4 @@
-"""Loss, perplexity, scoring, SGD, and training-loop tests."""
+"""Loss, scoring, SGD, and training-loop tests."""
 
 import copy
 import math
@@ -13,10 +13,8 @@ from drnnsim.training import (
     TrainConfig,
     TrainingLog,
     bptt_gradients,
-    cross_entropy,
     evaluate,
     named_arrays,
-    perplexity,
     score_sentence,
     sequence_loss,
     sgd_step,
@@ -31,29 +29,29 @@ def uniform_outputs(steps, vocab):
 class TestCrossEntropy:
     def test_uniform_over_large_vocab(self):
         pred = np.full(4000, 1.0 / 4000)
-        assert cross_entropy(pred, 17) == pytest.approx(math.log(4000), abs=1e-12)
-        assert cross_entropy(pred, 17) == pytest.approx(8.29405, abs=1e-5)
+        assert sequence_loss([pred], [17]) == pytest.approx(math.log(4000), abs=1e-12)
+        assert sequence_loss([pred], [17]) == pytest.approx(8.29405, abs=1e-5)
 
     def test_perfect_prediction_scores_zero(self):
         pred = np.zeros(5)
         pred[2] = 1.0
-        assert cross_entropy(pred, 2) == 0.0
+        assert sequence_loss([pred], [2]) == 0.0
 
     def test_one_over_e(self):
         pred = np.full(4, (1 - 1 / math.e) / 3)
         pred[1] = 1 / math.e
-        assert cross_entropy(pred, 1) == pytest.approx(1.0, abs=1e-12)
+        assert sequence_loss([pred], [1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_probability_is_floored(self):
         pred = np.zeros(3)
         pred[0] = 1.0
-        loss = cross_entropy(pred, 2)
+        loss = sequence_loss([pred], [2])
         assert math.isfinite(loss)
         assert loss == pytest.approx(-math.log(1e-12), abs=1e-9)
 
     def test_invalid_target(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.full(4, 0.25), 4)
+        with pytest.raises(ValueError, match=r"^target id 4 out of range \[0, 4\)$"):
+            sequence_loss([np.full(4, 0.25)], [4])
 
 
 class TestSequenceLoss:
@@ -67,30 +65,11 @@ class TestSequenceLoss:
 
     def test_single_step_reduces_to_cross_entropy(self):
         out = np.array([0.1, 0.6, 0.3])
-        assert sequence_loss([out], [1]) == cross_entropy(out, 1)
+        assert sequence_loss([out], [1]) == -math.log(0.6)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             sequence_loss(uniform_outputs(2, 4), [0])
-
-
-class TestPerplexity:
-    def test_uniform_model_equals_vocab_size(self):
-        vocab = 123
-        loss = sequence_loss(uniform_outputs(9, vocab), [5] * 9)
-        assert perplexity(loss, 9) == pytest.approx(vocab, rel=1e-12)
-
-    def test_zero_loss(self):
-        assert perplexity(0.0, 10) == 1.0
-
-    def test_zero_tokens_is_an_error(self):
-        with pytest.raises(ValueError):
-            perplexity(1.0, 0)
-
-    def test_published_scale_sanity(self):
-        # perplexity near 3500 corresponds to mean loss near ln 3500
-        assert math.log(3500) == pytest.approx(8.16, abs=0.005)
-        assert perplexity(8.160518247, 1) == pytest.approx(3500, rel=1e-4)
 
 
 class TestScoreSentence:
