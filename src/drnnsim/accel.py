@@ -157,6 +157,15 @@ def decode_output_stream(frame: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class BatchReport:
+    mult_ops: int
+    add_ops: int
+    latency_cycles: int
+    latency_ns: float
+    gops: float  # (mult_ops + add_ops) / latency_ns
+
+
+@dataclass(frozen=True)
 class AcceleratorConfig:
     num_pes: int = 5
     lanes_per_pe: int = 10
@@ -168,9 +177,9 @@ class AcceleratorConfig:
             raise ValueError("num_pes, lanes_per_pe, chunk_len must be >= 1")
         if not (math.isfinite(self.clock_mhz) and self.clock_mhz > 0):
             raise ValueError(f"clock_mhz must be finite and > 0, got {self.clock_mhz}")
-        # Every config that constructs has a finite report.
+        # Every config that constructs has a finite report, computed here once.
         try:
-            report = _batch_report(self)
+            report = self.report
         except OverflowError:  # an int too large to convert to a float
             raise ValueError("num_pes * lanes_per_pe * chunk_len is too large: "
                              "a batch's report overflows a float") from None
@@ -184,23 +193,13 @@ class AcceleratorConfig:
         """Output rows per batch, one per multiplier lane."""
         return self.num_pes * self.lanes_per_pe
 
-
-@dataclass(frozen=True)
-class BatchReport:
-    mult_ops: int
-    add_ops: int
-    latency_cycles: int
-    latency_ns: float
-    gops: float  # (mult_ops + add_ops) / latency_ns
-
-
-def _batch_report(config: AcceleratorConfig) -> BatchReport:
-    ops = config.rows * config.chunk_len
-    latency_ns = config.chunk_len * 1000.0 / config.clock_mhz
-    return BatchReport(
-        mult_ops=ops, add_ops=ops, latency_cycles=config.chunk_len,
-        latency_ns=latency_ns, gops=2 * ops / latency_ns,
-    )
+    # Cached in the instance __dict__: fields, equality, hash and repr are untouched.
+    @cached_property
+    def report(self) -> BatchReport:
+        """Operation counts and timing of one batch, which takes ``chunk_len`` cycles whatever its operands."""
+        ops = self.rows * self.chunk_len
+        latency_ns = self.chunk_len * 1000.0 / self.clock_mhz
+        return BatchReport(ops, ops, self.chunk_len, latency_ns, 2 * ops / latency_ns)
 
 
 class MacArrayCore:
@@ -242,7 +241,7 @@ class MacArrayCore:
 
     def report(self) -> BatchReport:
         """Timing/operation report for one batch under the current config."""
-        return _batch_report(self.config)
+        return self.config.report
 
     def stream_batch(self, frame: np.ndarray) -> np.ndarray:
         """Consume one input frame, run the batch, emit the output frame."""

@@ -158,7 +158,7 @@ class ThroughputReport:
 
 def throughput_report() -> ThroughputReport:
     """Modeled GOPS of one batch of the default core plus speedup ratios against the baselines."""
-    gops = MacArrayCore().report().gops
+    gops = AcceleratorConfig().report.gops
     rows = [
         ThroughputRow("mac array (this model)", gops, "GOPS", 1.0),
         ThroughputRow(

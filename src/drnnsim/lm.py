@@ -1,9 +1,9 @@
-"""Floating-point forward path of the language model.
+"""Floating-point LSTM language model, forward and backward.
 
-Holds the parameter containers and the step functions for the LSTM cell
-(hard-sigmoid gates, tanh candidate) and the 3-layer LSTM stack with a
-softmax output projection. Everything here is pure float64 and
-side-effect free; the fixed-point path lives in ``accel``.
+Holds the parameter containers, the LSTM cell (hard-sigmoid gates, tanh
+candidate), the 3-layer stack with a softmax output projection, and each
+layer's exact backward through time, which ``training`` chains into BPTT.
+Everything here is pure float64 and side-effect free; the fixed-point path lives in ``accel``.
 """
 
 from __future__ import annotations
@@ -143,8 +143,7 @@ def _cell(layer: LstmLayerParams, x, h_prev: np.ndarray, c_prev: np.ndarray):
     candidate g. Forget and input gates scale the cell update, the output
     gate scales tanh(c). Biases sit inside the nonlinearities.
     """
-    if isinstance(x, (int, np.integer)):
-        _check_token_id(int(x), layer.input_dim)
+    if isinstance(x, (int, np.integer)):  # an id its caller has checked
         x_term = layer.U[:, x]  # one-hot input reduces U @ x to a column pick
     else:
         x_term = layer.U @ x
@@ -158,7 +157,9 @@ def _cell(layer: LstmLayerParams, x, h_prev: np.ndarray, c_prev: np.ndarray):
 
 
 def lstm_cell_forward(layer: LstmLayerParams, x, h_prev: np.ndarray, c_prev: np.ndarray):
-    """One LSTM cell step; returns (h, c)."""
+    """One LSTM cell step on a token id or an input vector ``x``; returns (h, c)."""
+    if np.ndim(x) == 0:
+        _check_token_id(x, layer.input_dim)
     h, c, _, _ = _cell(layer, x, h_prev, c_prev)
     return h, c
 
@@ -188,6 +189,32 @@ def _layer_forward(layer: LstmLayerParams, inputs) -> LayerTrace:
     return tr
 
 
+def _layer_backward(layer: LstmLayerParams, tr: LayerTrace, dh_in: np.ndarray) -> np.ndarray:
+    """Pre-activation gradients dZ (T x 4H) of a ``_layer_forward`` trace, given dLoss/dh per step.
+
+    Only the dh/dc recurrence runs step by step; everything it reads is
+    computed for all steps at once.
+    """
+    hidden = layer.hidden
+    f, i, o, g = np.split(tr.act, 4, axis=1)
+    tanh_c = np.tanh(tr.c[1:])
+    slope = np.concatenate((hard_sigmoid_deriv(tr.z[:, :3 * hidden]), 1.0 - g**2), axis=1)
+    # dZ[t] = [dc, dc, dh, dc] * dz_dstate[t], block by block in gate order.
+    dz_dstate = np.concatenate((tr.c[:-1], g, tanh_c, i), axis=1) * slope
+    dc_dh = o * (1.0 - tanh_c**2)
+
+    dZ = np.empty_like(tr.z)
+    dh_next = np.zeros(hidden)
+    dc_next = np.zeros(hidden)
+    for t in reversed(range(len(dZ))):
+        dh = dh_next + dh_in[t]
+        dc = dc_next + dh * dc_dh[t]
+        dZ[t] = np.concatenate((dc, dc, dh, dc)) * dz_dstate[t]
+        dc_next = dc * f[t]
+        dh_next = layer.W.T @ dZ[t]
+    return dZ
+
+
 def stack_forward_trace(params: LstmStackParams, input_ids):
     """Run the 3-layer stack over a token sequence from the zero state, keeping what BPTT needs.
 
@@ -195,9 +222,11 @@ def stack_forward_trace(params: LstmStackParams, input_ids):
     one starts, the mirror of the backward pass. Returns (outputs, traces):
     the softmax output per step and one LayerTrace per layer.
     """
-    ids = [int(x) for x in input_ids]
+    ids = list(input_ids)
     if not ids:
         raise ValueError("input sequence is empty")
+    for x in ids:
+        _check_token_id(x, params.vocab)
     traces: list[LayerTrace] = []
     for layer in params.layers:
         traces.append(_layer_forward(layer, traces[-1].h[1:] if traces else ids))
@@ -213,6 +242,7 @@ def stack_forward(params: LstmStackParams, input_ids):
 
 def stack_step(params: LstmStackParams, x_id: int, state: LstmState):
     """Advance the stack by one token; returns (output distribution, new state), ``state`` untouched."""
+    _check_token_id(x_id, params.vocab)
     x, h, c = x_id, [], []
     for layer, h_prev, c_prev in zip(params.layers, state.h, state.c):
         x, c_l, _, _ = _cell(layer, x, h_prev, c_prev)
@@ -240,6 +270,9 @@ def init_params(hidden: int = DEFAULT_HIDDEN, vocab: int = DEFAULT_VOCAB, seed: 
     return LstmStackParams(layers=layers, V=mat(vocab, hidden))
 
 
-def _check_token_id(x_id: int, vocab: int) -> None:
+def _check_token_id(x_id, vocab: int, what: str = "token") -> None:
+    """The one token-id rule: an ``int`` (not a bool) or numpy integer in [0, vocab), never coerced."""
+    if isinstance(x_id, bool) or not isinstance(x_id, (int, np.integer)):
+        raise ValueError(f"{what} id {x_id!r} is not an integer")
     if not 0 <= x_id < vocab:
-        raise ValueError(f"token id {x_id} out of range [0, {vocab})")
+        raise ValueError(f"{what} id {x_id} out of range [0, {vocab})")

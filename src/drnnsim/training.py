@@ -1,6 +1,6 @@
-"""Training of the LSTM language model: cross-entropy loss, exact BPTT
-gradients, plain SGD, perplexity tracking, sentence scoring, and binary
-model persistence."""
+"""Training of the LSTM language model: cross-entropy loss, BPTT over the
+stack (each layer's backward is ``lm._layer_backward``), plain SGD,
+perplexity tracking, sentence scoring, and binary model persistence."""
 
 from __future__ import annotations
 
@@ -16,10 +16,10 @@ from .lm import (
     GATE_PARAM_FIELDS,
     GATES,
     N_LAYERS,
-    LayerTrace,
     LstmLayerParams,
     LstmStackParams,
-    hard_sigmoid_deriv,
+    _check_token_id,
+    _layer_backward,
     stack_forward,
     stack_forward_trace,
 )
@@ -52,8 +52,7 @@ def sequence_loss(outputs, labels) -> float:
         raise ValueError(f"{len(outputs)} outputs vs {len(labels)} labels")
     nats = 0.0
     for p, y in zip(outputs, labels):
-        if not 0 <= y < len(p):
-            raise ValueError(f"target id {y} out of range [0, {len(p)})")
+        _check_token_id(y, len(p), "target")
         nats -= math.log(max(float(p[y]), LOSS_EPS))
     return nats
 
@@ -65,7 +64,7 @@ def score_sentence(params: LstmStackParams, sentence) -> float:
     a sentence of T tokens contributes exactly T conditional factors. The
     value equals minus the sequence loss of that prediction problem.
     """
-    ids = [int(i) for i in sentence]
+    ids = list(sentence)
     if not ids:
         raise ValueError("sentence is empty")
     inputs = [start_token_id(params.vocab)] + ids[:-1]
@@ -101,32 +100,6 @@ def named_arrays(obj: LstmStackParams | Gradients) -> dict[str, np.ndarray]:
             arrays[f"layer{l}.{name}"] = getattr(layer, name)
     arrays["V"] = obj.V
     return arrays
-
-
-def _layer_backward(layer: LstmLayerParams, tr: LayerTrace, dh_in: np.ndarray) -> np.ndarray:
-    """Pre-activation gradients dZ (T x 4H) of one layer, given dLoss/dh per step.
-
-    Only the dh/dc recurrence runs step by step; everything it reads is
-    computed for all steps at once.
-    """
-    hidden = layer.hidden
-    f, i, o, g = np.split(tr.act, 4, axis=1)
-    tanh_c = np.tanh(tr.c[1:])
-    slope = np.concatenate((hard_sigmoid_deriv(tr.z[:, :3 * hidden]), 1.0 - g**2), axis=1)
-    # dZ[t] = [dc, dc, dh, dc] * dz_dstate[t], block by block in gate order.
-    dz_dstate = np.concatenate((tr.c[:-1], g, tanh_c, i), axis=1) * slope
-    dc_dh = o * (1.0 - tanh_c**2)
-
-    dZ = np.empty_like(tr.z)
-    dh_next = np.zeros(hidden)
-    dc_next = np.zeros(hidden)
-    for t in reversed(range(len(dZ))):
-        dh = dh_next + dh_in[t]
-        dc = dc_next + dh * dc_dh[t]
-        dZ[t] = np.concatenate((dc, dc, dh, dc)) * dz_dstate[t]
-        dc_next = dc * f[t]
-        dh_next = layer.W.T @ dZ[t]
-    return dZ
 
 
 def bptt_gradients(params: LstmStackParams, pair: TrainingPair):
@@ -391,6 +364,9 @@ def load_model(path) -> LstmStackParams:
     if arrays["V"].ndim != 2:
         raise ModelFormatError(f"V has rank {arrays['V'].ndim}, expected 2")
     vocab, hidden = arrays["V"].shape
+    for name, size in (("hidden", hidden), ("vocab", vocab)):
+        if size < 1:
+            raise ModelFormatError(f"{name} must be >= 1, got {size}")
     expected = {}  # in container order, which the finiteness checks follow
     for l in range(N_LAYERS):
         shapes = {"W": (hidden, hidden), "U": (hidden, vocab if l == 0 else hidden), "b": (hidden,)}

@@ -375,6 +375,18 @@ class TestTimingModel:
             expected = BatchReport(ops, ops, config.chunk_len, latency_ns, 2 * ops / latency_ns)
             assert MacArrayCore(config).report() == expected
 
+    def test_report_is_computed_once_per_config(self):
+        config = AcceleratorConfig(num_pes=2, lanes_per_pe=3, chunk_len=4)
+        assert config.report is MacArrayCore(config).report() is MacArrayCore(config).report()
+
+    def test_cached_report_leaves_equality_hash_and_repr_alone(self):
+        config, other = AcceleratorConfig(), AcceleratorConfig()
+        assert vars(config)["report"] is config.report  # cached when the config was built
+        del vars(other)["report"]
+        assert config == other and hash(config) == hash(other)
+        assert repr(config) == "AcceleratorConfig(num_pes=5, lanes_per_pe=10, chunk_len=50, clock_mhz=200.0)"
+        assert config != AcceleratorConfig(clock_mhz=100.0)
+
     def test_report_follows_a_reassigned_config(self):
         core = MacArrayCore()
         assert core.report().gops == 20.0

@@ -96,6 +96,17 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not model_out.exists()
 
+    def test_width_too_large_to_allocate_is_a_one_line_data_error(self, tmp_path, corpus_file, capsys):
+        # The first draw is 4e7 x 1e7 float64s, 2.84 PiB, beyond the 128 TiB x86-64
+        # user address space: the allocation fails before any memory is touched.
+        _, vocab_out, tokens_out = run_prep(tmp_path, corpus_file)
+        capsys.readouterr()
+        code, model_out, _ = run_train(tmp_path, vocab_out, tokens_out, **{"--hidden": 10**7})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 2.84 PiB") and err.count("\n") == 1
+        assert not model_out.exists()
+
     def test_divergence_exits_3(self, tmp_path, corpus_file, capsys, monkeypatch):
         def diverge(params, pairs, config):
             raise training.DivergenceError("diverged: non-finite loss at step 4")
@@ -265,15 +276,18 @@ class TestAccelBench:
 
     @pytest.mark.parametrize("size, error", [
         (10**200, "error: num_pes * lanes_per_pe * chunk_len is too large: a batch's report overflows a float"),
-        # 10^12 rows x 50 int64 weights is 364 TiB, beyond the 128 TiB x86-64 user
-        # address space: the allocation fails before any memory is touched.
-        (10**6, "error: Unable to allocate 364. TiB"),
-    ], ids=["too-large-to-time", "unallocatable"])
+    ], ids=["too-large-to-time"])
     def test_geometry_too_large_is_a_one_line_data_error(self, size, error, capsys):
         assert main(["accel-bench", "--pes", str(size), "--lanes", str(size)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(error) and captured.err.count("\n") == 1
+
+    def test_huge_geometry_prints_its_closed_form_rows(self, capsys):
+        # 10^12 rows: the trace is the config's report, so no weight array is ever allocated.
+        assert main(["accel-bench", "--pes", "1000000", "--lanes", "1000000", "--batches", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[-2:]
+        assert rows == [f"{b},50000000000000,50000000000000,50,250,400000000000" for b in (1, 2)]
 
     def test_tiny_clock_still_reports(self, capsys):
         assert main(["accel-bench", "--clock-mhz", "1e-300"]) == 0

@@ -241,6 +241,20 @@ class TestCorruption:
         with pytest.raises(ModelFormatError, match=match):
             load_model(path)
 
+    @pytest.mark.parametrize("vocab, hidden, match", [(5, 0, "^hidden must be >= 1, got 0$"),
+                                                      (0, 3, "^vocab must be >= 1, got 0$")])
+    def test_zero_width_model(self, tmp_path, vocab, hidden, match):
+        # A well-formed container: every array has the shape V's topology gives it.
+        shapes = {}
+        for l in range(lm.N_LAYERS):
+            blocks = {"W": (hidden, hidden), "U": (hidden, vocab if l == 0 else hidden), "b": (hidden,)}
+            shapes.update({f"layer{l}.{name}": blocks[name[0]] for name in lm.GATE_PARAM_FIELDS})
+        shapes["V"] = (vocab, hidden)
+        path = tmp_path / "model.drnn"
+        write_container(path, [(name.encode(), shape, np.zeros(shape).tobytes()) for name, shape in shapes.items()])
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(path)
+
     def test_bad_dtype_argument(self, tmp_path):
         params = lm.init_params(hidden=2, vocab=5, seed=0)
         with pytest.raises(ValueError):

@@ -2,11 +2,13 @@
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
 
-from drnnsim import corpus, lm, training
+from drnnsim import corpus, cosim, lm, training
+from drnnsim.accel import FixedPointFormat
 from drnnsim.corpus import TrainingPair
 from drnnsim.training import (
     DivergenceError,
@@ -121,7 +123,7 @@ def dense_reference_step(params, pair, learning_rate):
     grad_layers = []
     for l in reversed(range(len(params.layers))):
         layer, tr = params.layers[l], traces[l]
-        dZ = training._layer_backward(layer, tr, dh_in)
+        dZ = lm._layer_backward(layer, tr, dh_in)
         if l == 0:
             grad_U = np.zeros_like(layer.U)
             np.add.at(grad_U.T, list(pair.input), dZ)
@@ -136,6 +138,34 @@ def dense_reference_step(params, pair, learning_rate):
 
 def param_bytes(params):
     return {name: arr.tobytes() for name, arr in named_arrays(params).items()}
+
+
+# Each entry point that takes token ids, driven with one bad id ``x``: at
+# layer 0's input, at the label, or both.
+TOKEN_ID_ENTRY_POINTS = {
+    "stack_forward": lambda p, x: lm.stack_forward(p, [0, x]),
+    "stack_forward_trace": lambda p, x: lm.stack_forward_trace(p, [x]),
+    "stack_step": lambda p, x: lm.stack_step(p, x, lm.zero_state(p)),
+    "lstm_cell_forward": lambda p, x: lm.lstm_cell_forward(p.layers[0], x, np.zeros(p.hidden), np.zeros(p.hidden)),
+    "sequence_loss": lambda p, x: sequence_loss(uniform_outputs(1, p.vocab), [x]),
+    "score_sentence": lambda p, x: score_sentence(p, [x, 0]),
+    "evaluate": lambda p, x: evaluate(p, [TrainingPair([x], [0])]),
+    "bptt_gradients": lambda p, x: bptt_gradients(p, TrainingPair([0, x], [x, 0])),
+    "train-input": lambda p, x: train(p, [TrainingPair([x], [0])], TrainConfig(epochs=1)),
+    "train-label": lambda p, x: train(p, [TrainingPair([0], [x])], TrainConfig(epochs=1)),
+    "offload_gate_preactivation": lambda p, x: cosim.offload_gate_preactivation(
+        p.layers[0], np.zeros(p.hidden), x, FixedPointFormat(8, 8)),
+}
+
+
+@pytest.mark.parametrize("bad_id", [1.7, "3", np.float64(2.0), True], ids=["float", "str", "np.float64", "bool"])
+@pytest.mark.parametrize("entry", TOKEN_ID_ENTRY_POINTS.values(), ids=TOKEN_ID_ENTRY_POINTS.keys())
+def test_a_non_integer_token_id_is_named_not_coerced(entry, bad_id):
+    params = lm.init_params(hidden=50, vocab=8, seed=0)  # the offload tiles need hidden 50
+    before = param_bytes(params)
+    with pytest.raises(ValueError, match=rf"^(token|target) id {re.escape(repr(bad_id))} is not an integer$"):
+        entry(params, bad_id)
+    assert param_bytes(params) == before
 
 
 def zeroed_gradients(params, pair):
