@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .lm import _check_token_id
+
 SENTENCE_START = "SENTENCE_START"
 SENTENCE_END = "SENTENCE_END"
 UNKNOWN_TOKEN = "UNKNOWN_TOKEN"
@@ -82,8 +84,7 @@ class Vocabulary:
         return self.index_of.get(word, unknown_token_id(self.size))
 
     def decode(self, token_id: int) -> str:
-        if not 0 <= token_id < self.size:
-            raise ValueError(f"token id {token_id} out of range [0, {self.size})")
+        _check_token_id(token_id, self.size)
         return self.words[token_id]
 
 

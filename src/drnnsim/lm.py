@@ -3,6 +3,8 @@
 Holds the parameter containers, the LSTM cell (hard-sigmoid gates, tanh
 candidate), the 3-layer stack with a softmax output projection, and each
 layer's exact backward through time, which ``training`` chains into BPTT.
+The BPTT trace keeps each step's h, c and gate values; every gate's slope
+is read from its value, so no pre-activation is stored.
 Everything here is pure float64 and side-effect free; the fixed-point path lives in ``accel``.
 """
 
@@ -17,21 +19,14 @@ N_LAYERS = 3
 DEFAULT_HIDDEN = 50
 DEFAULT_VOCAB = 4000
 
-# hard_sigmoid(x) = clamp(0.2 x + 0.5, 0, 1); its slope is 0.2 strictly
-# inside |x| < 2.5 and 0 in the saturated regions.
+# hard_sigmoid(x) = clamp(0.2 x + 0.5, 0, 1); its slope is 0.2 where the
+# value lies strictly inside (0, 1) and 0 where it is clamped.
 _HS_SLOPE = 0.2
-_HS_KNEE = 2.5
 
 
 def hard_sigmoid(x):
     """Piecewise-linear sigmoid approximation clamp(0.2 x + 0.5, 0, 1)."""
     return np.clip(_HS_SLOPE * np.asarray(x, dtype=np.float64) + 0.5, 0.0, 1.0)
-
-
-def hard_sigmoid_deriv(x):
-    """Derivative of hard_sigmoid w.r.t. its pre-activation (0.2 or 0)."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(np.abs(x) < _HS_KNEE, _HS_SLOPE, 0.0)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -122,7 +117,7 @@ class LstmStackParams:
 
 @dataclass
 class LstmState:
-    """Per-layer hidden and cell vectors."""
+    """Per-layer hidden and cell vectors, numpy arrays of shape (H,)."""
 
     h: list[np.ndarray]
     c: list[np.ndarray]
@@ -136,12 +131,12 @@ def zero_state(params: LstmStackParams) -> LstmState:
 
 
 def _cell(layer: LstmLayerParams, x, h_prev: np.ndarray, c_prev: np.ndarray):
-    """The LSTM cell over the fused gate blocks; returns (h, c, z, act).
+    """The LSTM cell over the fused gate blocks; returns (h, c, act).
 
-    ``z`` holds the 4H pre-activations and ``act`` the gate values in
-    order f, i, o, g: hard-sigmoid on the first 3H entries, tanh on the
-    candidate g. Forget and input gates scale the cell update, the output
-    gate scales tanh(c). Biases sit inside the nonlinearities.
+    ``act`` holds the 4H gate values in order f, i, o, g: hard-sigmoid of
+    the pre-activations z = W h + U x + b on the first 3H entries, tanh on
+    the candidate g. Forget and input gates scale the cell update, the
+    output gate scales tanh(c). Biases sit inside the nonlinearities.
     """
     if isinstance(x, (int, np.integer)):  # an id its caller has checked
         x_term = layer.U[:, x]  # one-hot input reduces U @ x to a column pick
@@ -149,18 +144,19 @@ def _cell(layer: LstmLayerParams, x, h_prev: np.ndarray, c_prev: np.ndarray):
         x_term = layer.U @ x
     hidden = layer.hidden
     z = layer.W @ h_prev + x_term + layer.b
-    act = np.concatenate((hard_sigmoid(z[:3 * hidden]), np.tanh(z[3 * hidden:])))
+    act = hard_sigmoid(z)
+    act[3 * hidden:] = np.tanh(z[3 * hidden:])
     f, i, o, g = act[:hidden], act[hidden:2 * hidden], act[2 * hidden:3 * hidden], act[3 * hidden:]
     c = f * c_prev + i * g
     h = o * np.tanh(c)
-    return h, c, z, act
+    return h, c, act
 
 
 def lstm_cell_forward(layer: LstmLayerParams, x, h_prev: np.ndarray, c_prev: np.ndarray):
     """One LSTM cell step on a token id or an input vector ``x``; returns (h, c)."""
     if np.ndim(x) == 0:
         _check_token_id(x, layer.input_dim)
-    h, c, _, _ = _cell(layer, x, h_prev, c_prev)
+    h, c, _ = _cell(layer, x, h_prev, c_prev)
     return h, c
 
 
@@ -169,41 +165,41 @@ class LayerTrace:
     """One layer's forward values over a sequence, stacked over time.
 
     ``h`` and ``c`` have T+1 rows: the zero state before the first step,
-    then the state after each step. Row t of ``z`` and ``act`` holds step t's
-    pre-activations and gate values (order f, i, o, g).
+    then the state after each step. Row t of ``act`` holds step t's gate
+    values (order f, i, o, g), which also give each gate's slope.
     """
 
     h: np.ndarray
     c: np.ndarray
-    z: np.ndarray
     act: np.ndarray
 
 
 def _layer_forward(layer: LstmLayerParams, inputs) -> LayerTrace:
     """One layer over the sequence from the zero state; ``inputs`` are ids (layer 0) or the h rows below."""
     steps, hidden = len(inputs), layer.hidden
-    tr = LayerTrace(np.zeros((steps + 1, hidden)), np.zeros((steps + 1, hidden)),
-                    np.empty((steps, 4 * hidden)), np.empty((steps, 4 * hidden)))
+    tr = LayerTrace(np.zeros((steps + 1, hidden)), np.zeros((steps + 1, hidden)), np.empty((steps, 4 * hidden)))
     for t, x in enumerate(inputs):
-        tr.h[t + 1], tr.c[t + 1], tr.z[t], tr.act[t] = _cell(layer, x, tr.h[t], tr.c[t])
+        tr.h[t + 1], tr.c[t + 1], tr.act[t] = _cell(layer, x, tr.h[t], tr.c[t])
     return tr
 
 
 def _layer_backward(layer: LstmLayerParams, tr: LayerTrace, dh_in: np.ndarray) -> np.ndarray:
     """Pre-activation gradients dZ (T x 4H) of a ``_layer_forward`` trace, given dLoss/dh per step.
 
-    Only the dh/dc recurrence runs step by step; everything it reads is
-    computed for all steps at once.
+    Each gate's slope comes from its value: 0.2 strictly inside (0, 1) for
+    a hard-sigmoid gate, else 0, and 1 - g**2 for the candidate. Only the
+    dh/dc recurrence runs step by step, on arrays computed for all steps.
     """
     hidden = layer.hidden
     f, i, o, g = np.split(tr.act, 4, axis=1)
     tanh_c = np.tanh(tr.c[1:])
-    slope = np.concatenate((hard_sigmoid_deriv(tr.z[:, :3 * hidden]), 1.0 - g**2), axis=1)
+    sig = tr.act[:, :3 * hidden]
+    slope = np.concatenate((np.where((0.0 < sig) & (sig < 1.0), _HS_SLOPE, 0.0), 1.0 - g**2), axis=1)
     # dZ[t] = [dc, dc, dh, dc] * dz_dstate[t], block by block in gate order.
     dz_dstate = np.concatenate((tr.c[:-1], g, tanh_c, i), axis=1) * slope
     dc_dh = o * (1.0 - tanh_c**2)
 
-    dZ = np.empty_like(tr.z)
+    dZ = np.empty_like(tr.act)
     dh_next = np.zeros(hidden)
     dc_next = np.zeros(hidden)
     for t in reversed(range(len(dZ))):
@@ -241,11 +237,20 @@ def stack_forward(params: LstmStackParams, input_ids):
 
 
 def stack_step(params: LstmStackParams, x_id: int, state: LstmState):
-    """Advance the stack by one token; returns (output distribution, new state), ``state`` untouched."""
+    """Advance the stack by one token; returns (output distribution, new state), ``state`` untouched.
+
+    ``state`` must hold exactly N_LAYERS h and c arrays of shape (H,), else ValueError.
+    """
     _check_token_id(x_id, params.vocab)
+    if len(state.h) != N_LAYERS or len(state.c) != N_LAYERS:
+        raise ValueError(f"state holds {len(state.h)} h and {len(state.c)} c vectors, expected {N_LAYERS} each")
+    want = (params.hidden,)
     x, h, c = x_id, [], []
-    for layer, h_prev, c_prev in zip(params.layers, state.h, state.c):
-        x, c_l, _, _ = _cell(layer, x, h_prev, c_prev)
+    for l, (layer, h_prev, c_prev) in enumerate(zip(params.layers, state.h, state.c)):
+        h_shape, c_shape = getattr(h_prev, "shape", None), getattr(c_prev, "shape", None)  # None: not an array
+        if h_shape != want or c_shape != want:
+            raise ValueError(f"state layer {l} has h shape {h_shape} and c shape {c_shape}, expected {want} each")
+        x, c_l, _ = _cell(layer, x, h_prev, c_prev)
         h.append(x)
         c.append(c_l)
     return softmax(params.V @ x), LstmState(h, c)

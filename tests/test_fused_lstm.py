@@ -15,7 +15,7 @@ import pytest
 
 from drnnsim import lm
 from drnnsim.corpus import TrainingPair
-from drnnsim.lm import hard_sigmoid, hard_sigmoid_deriv, softmax
+from drnnsim.lm import hard_sigmoid, softmax
 from drnnsim.training import bptt_gradients, named_arrays, sequence_loss
 from grad_helpers import dense_named_gradients
 
@@ -32,6 +32,10 @@ def ref_input_term(U, x):
     return U @ x
 
 
+def ref_hard_sigmoid_deriv(z):
+    return np.where(np.abs(z) < 2.5, 0.2, 0.0)
+
+
 def ref_cell(layer, x, h_prev, c_prev):
     zf = layer.Wf @ h_prev + ref_input_term(layer.Uf, x) + layer.bf
     zi = layer.Wi @ h_prev + ref_input_term(layer.Ui, x) + layer.bi
@@ -46,7 +50,7 @@ def ref_cell(layer, x, h_prev, c_prev):
     h = o * tanh_c
     return dict(
         x=x, h_prev=h_prev, c_prev=c_prev, f=f, i=i, g=g, o=o, c=c, tanh_c=tanh_c, h=h,
-        f_deriv=hard_sigmoid_deriv(zf), i_deriv=hard_sigmoid_deriv(zi), o_deriv=hard_sigmoid_deriv(zo),
+        f_deriv=ref_hard_sigmoid_deriv(zf), i_deriv=ref_hard_sigmoid_deriv(zi), o_deriv=ref_hard_sigmoid_deriv(zo),
     )
 
 

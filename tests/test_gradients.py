@@ -73,6 +73,31 @@ def test_gradients_with_saturated_gates():
     check_all_gradients(params, pair)
 
 
+# The largest float below 2.5: 0.2 z + 0.5 rounds to exactly 1.0 there, so the
+# forward's gate is clamped and its slope is 0. One ulp further in it is 0.2.
+KNEE = 2.4999999999999996
+
+
+@pytest.mark.parametrize("bias, slope", [(KNEE, 0.0), (np.nextafter(KNEE, 0.0), 0.2), (-2.5, 0.0)],
+                         ids=["knee", "one-ulp-inside", "lower-knee"])
+def test_forget_gate_slope_follows_its_value_at_the_knee(bias, slope):
+    # With W = U = 0 the forget pre-activation is exactly ``bias`` at every step.
+    layer = lm.LstmLayerParams(W=np.zeros((4, 1)), U=np.zeros((4, 2)), b=np.array([bias, 0.0, 0.0, 1.0]))
+    tr = lm._layer_forward(layer, [0, 1, 0])
+    dh_in = np.array([[0.3], [-0.7], [1.1]])
+    dZ = lm._layer_backward(layer, tr, dh_in)
+    f, _, o, _ = tr.act.T
+    assert ((f == 0.0) | (f == 1.0)).all() == (slope == 0.0)
+    # W = 0 sends nothing back through h, so dc follows its own recurrence.
+    dc_next, want = 0.0, np.empty(3)
+    for t in reversed(range(3)):
+        dc = dc_next + dh_in[t, 0] * o[t] * (1.0 - np.tanh(tr.c[t + 1, 0]) ** 2)
+        want[t] = dc * tr.c[t, 0] * slope
+        dc_next = dc * f[t]
+    np.testing.assert_allclose(dZ[:, 0], want, rtol=1e-14, atol=0.0)
+    assert (want[1:] != 0.0).all() == (slope != 0.0)
+
+
 def test_single_step_output_projection_identity():
     # for one step, dV is the softmax-cross-entropy outer product
     params = lm.init_params(hidden=4, vocab=8, seed=4)

@@ -304,15 +304,15 @@ def schedule_case(hidden, vocab, random_state0=False):
 def step_major_chain(params, ids, state0):
     """Every layer advances one cell step before the next token, as a cell-by-cell probe drives it.
 
-    Returns the outputs and, per step, each layer's (h, c, z, act).
+    Returns the outputs and, per step, each layer's (h, c, act).
     """
     h, c = list(state0.h), list(state0.c)
     outputs, rows = [], []
     for x in ids:
         step = []
         for l, layer in enumerate(params.layers):
-            h[l], c[l], z, act = lm._cell(layer, x, h[l], c[l])
-            step.append((h[l], c[l], z, act))
+            h[l], c[l], act = lm._cell(layer, x, h[l], c[l])
+            step.append((h[l], c[l], act))
             x = h[l]
         outputs.append(softmax(params.V @ h[-1]))
         rows.append(step)
@@ -342,10 +342,9 @@ class TestLayerMajorSchedule:
             np.testing.assert_array_equal(tr.h[0], state0.h[l])
             np.testing.assert_array_equal(tr.c[0], state0.c[l])
             for t in range(len(ids)):
-                h, c, z, act = ref_rows[t][l]
+                h, c, act = ref_rows[t][l]
                 np.testing.assert_array_equal(tr.h[t + 1], h)
                 np.testing.assert_array_equal(tr.c[t + 1], c)
-                np.testing.assert_array_equal(tr.z[t], z)
                 np.testing.assert_array_equal(tr.act[t], act)
 
     def test_continuing_from_the_returned_state_equals_the_full_forward(self, hidden, vocab):
@@ -389,6 +388,22 @@ class TestStackStep:
         params, _, state0 = schedule_case(4, 8)
         with pytest.raises(ValueError):
             lm.stack_step(params, x_id, state0)
+
+    @pytest.mark.parametrize("malform, message", [
+        (lambda s: lm.LstmState(s.h[:2], s.c[:2]), "state holds 2 h and 2 c vectors, expected 3 each"),
+        (lambda s: lm.LstmState(s.h + s.h[:1], s.c + s.c[:1]), "state holds 4 h and 4 c vectors, expected 3 each"),
+        (lambda s: lm.LstmState(s.h, s.c[:2]), "state holds 3 h and 2 c vectors, expected 3 each"),
+        (lambda s: lm.LstmState(s.h, s.c[:2] + [np.zeros(1)]),
+         r"state layer 2 has h shape \(4,\) and c shape \(1,\), expected \(4,\) each"),
+        (lambda s: lm.LstmState([np.zeros((1, 4))] + s.h[1:], s.c),
+         r"state layer 0 has h shape \(1, 4\) and c shape \(4,\), expected \(4,\) each"),
+        (lambda s: lm.LstmState(s.h[:2] + [[0.0] * 4], s.c),
+         r"state layer 2 has h shape None and c shape \(4,\), expected \(4,\) each"),
+    ], ids=["2-layers", "4-layers", "3h-2c", "c-width-1", "h-rank-2", "h-list"])
+    def test_rejects_a_malformed_state(self, malform, message):
+        params, ids, state0 = schedule_case(4, 8)
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            lm.stack_step(params, ids[0], malform(state0))
 
 
 def test_init_params_shapes_and_bounds():

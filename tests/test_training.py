@@ -155,6 +155,7 @@ TOKEN_ID_ENTRY_POINTS = {
     "train-label": lambda p, x: train(p, [TrainingPair([0], [x])], TrainConfig(epochs=1)),
     "offload_gate_preactivation": lambda p, x: cosim.offload_gate_preactivation(
         p.layers[0], np.zeros(p.hidden), x, FixedPointFormat(8, 8)),
+    "Vocabulary.decode": lambda p, x: corpus.Vocabulary([*"abcde", *corpus.SPECIAL_TOKENS]).decode(x),
 }
 
 
