@@ -20,20 +20,31 @@ DEFAULT_HIDDEN = 50
 DEFAULT_VOCAB = 4000
 
 # hard_sigmoid(x) = clamp(0.2 x + 0.5, 0, 1); its slope is 0.2 where the
-# value lies strictly inside (0, 1) and 0 where it is clamped.
-_HS_SLOPE = 0.2
+# value lies strictly inside (0, 1) and 0 where it is clamped. The constants
+# are 0-d arrays: numpy converts a Python float operand on every call, which
+# costs about a third of a ufunc call on a cell's 3H gate entries.
+_HS_SLOPE, _HALF, _ZERO, _ONE = (np.array(v) for v in (0.2, 0.5, 0.0, 1.0))
+
+
+def _hard_sigmoid_inplace(z: np.ndarray) -> np.ndarray:
+    """z <- clamp(0.2 z + 0.5, 0, 1) in place, without ``np.clip``'s wrapper; returns z."""
+    z *= _HS_SLOPE
+    z += _HALF
+    np.maximum(z, _ZERO, out=z)
+    return np.minimum(z, _ONE, out=z)
 
 
 def hard_sigmoid(x):
-    """Piecewise-linear sigmoid approximation clamp(0.2 x + 0.5, 0, 1)."""
-    return np.clip(_HS_SLOPE * np.asarray(x, dtype=np.float64) + 0.5, 0.0, 1.0)
+    """Piecewise-linear sigmoid approximation clamp(0.2 x + 0.5, 0, 1), on a copy of ``x``."""
+    return _hard_sigmoid_inplace(np.array(x, dtype=np.float64))[()]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Numerically stable softmax (max subtraction before exponentiation)."""
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(z - z.max())
-    return e / e.sum()
+    e /= e.sum()  # in place on exp's array; a 0-d input's scalar is rebound
+    return e
 
 
 GATES = ("f", "i", "o", "g")
@@ -130,25 +141,29 @@ def zero_state(params: LstmStackParams) -> LstmState:
     )
 
 
-def _cell(layer: LstmLayerParams, x, h_prev: np.ndarray, c_prev: np.ndarray):
-    """The LSTM cell over the fused gate blocks; returns (h, c, act).
+def _cell(layer: LstmLayerParams, x_term, h_prev, c_prev, out=None):
+    """The LSTM cell over the fused gate blocks, on the input term ``x_term`` = U x; returns (h, c, act).
 
-    ``act`` holds the 4H gate values in order f, i, o, g: hard-sigmoid of
-    the pre-activations z = W h + U x + b on the first 3H entries, tanh on
-    the candidate g. Forget and input gates scale the cell update, the
-    output gate scales tanh(c). Biases sit inside the nonlinearities.
+    The caller decides the input term (column ``U[:, x]`` for a token id,
+    ``U @ x`` for a vector) and may pass rows ``out`` = (h, c, act) to
+    write into. ``act`` holds the 4H gate values in order f, i, o, g:
+    hard-sigmoid of z = W h + U x + b on the first 3H entries, tanh on the
+    candidate g. Forget and input gates scale the cell update, the output
+    gate scales tanh(c). Biases sit inside the nonlinearities.
     """
-    if isinstance(x, (int, np.integer)):  # an id its caller has checked
-        x_term = layer.U[:, x]  # one-hot input reduces U @ x to a column pick
-    else:
-        x_term = layer.U @ x
     hidden = layer.hidden
-    z = layer.W @ h_prev + x_term + layer.b
-    act = hard_sigmoid(z)
-    act[3 * hidden:] = np.tanh(z[3 * hidden:])
-    f, i, o, g = act[:hidden], act[hidden:2 * hidden], act[2 * hidden:3 * hidden], act[3 * hidden:]
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
+    h, c, act = (np.empty(hidden), np.empty(hidden), np.empty(4 * hidden)) if out is None else out
+    np.dot(layer.W, h_prev, out=act)
+    act += x_term
+    act += layer.b
+    _hard_sigmoid_inplace(act[:3 * hidden])
+    f, i, o, g = act.reshape(4, hidden)
+    np.tanh(g, out=g)
+    np.multiply(i, g, out=h)  # h holds i * g until tanh(c) overwrites it
+    np.multiply(f, c_prev, out=c)
+    c += h
+    np.tanh(c, out=h)
+    h *= o
     return h, c, act
 
 
@@ -156,7 +171,8 @@ def lstm_cell_forward(layer: LstmLayerParams, x, h_prev: np.ndarray, c_prev: np.
     """One LSTM cell step on a token id or an input vector ``x``; returns (h, c)."""
     if np.ndim(x) == 0:
         _check_token_id(x, layer.input_dim)
-    h, c, _ = _cell(layer, x, h_prev, c_prev)
+    # a one-hot input reduces U @ x to a column pick
+    h, c, _ = _cell(layer, layer.U[:, x] if np.ndim(x) == 0 else layer.U @ x, h_prev, c_prev)
     return h, c
 
 
@@ -175,11 +191,16 @@ class LayerTrace:
 
 
 def _layer_forward(layer: LstmLayerParams, inputs) -> LayerTrace:
-    """One layer over the sequence from the zero state; ``inputs`` are ids (layer 0) or the h rows below."""
+    """One layer over the sequence from the zero state, each cell writing into its trace rows.
+
+    ``inputs`` are token ids (layer 0) or the h rows of the layer below.
+    """
     steps, hidden = len(inputs), layer.hidden
     tr = LayerTrace(np.zeros((steps + 1, hidden)), np.zeros((steps + 1, hidden)), np.empty((steps, 4 * hidden)))
-    for t, x in enumerate(inputs):
-        tr.h[t + 1], tr.c[t + 1], tr.act[t] = _cell(layer, x, tr.h[t], tr.c[t])
+    U, x_term = layer.U, np.empty(4 * hidden)
+    ids = np.ndim(inputs) == 1  # layer 0 reads token ids, a layer above reads the 2-D h rows below
+    for x, h_prev, c_prev, h, c, act in zip(inputs, tr.h, tr.c, tr.h[1:], tr.c[1:], tr.act):
+        _cell(layer, U[:, x] if ids else np.dot(U, x, out=x_term), h_prev, c_prev, (h, c, act))
     return tr
 
 
@@ -188,26 +209,33 @@ def _layer_backward(layer: LstmLayerParams, tr: LayerTrace, dh_in: np.ndarray) -
 
     Each gate's slope comes from its value: 0.2 strictly inside (0, 1) for
     a hard-sigmoid gate, else 0, and 1 - g**2 for the candidate. Only the
-    dh/dc recurrence runs step by step, on arrays computed for all steps.
+    dh/dc recurrence runs step by step, into buffers it reuses.
     """
-    hidden = layer.hidden
-    f, i, o, g = np.split(tr.act, 4, axis=1)
+    steps, hidden = len(tr.act), layer.hidden
+    f, i, o, g = (tr.act[:, k * hidden:(k + 1) * hidden] for k in range(4))
     tanh_c = np.tanh(tr.c[1:])
     sig = tr.act[:, :3 * hidden]
-    slope = np.concatenate((np.where((0.0 < sig) & (sig < 1.0), _HS_SLOPE, 0.0), 1.0 - g**2), axis=1)
+    slope = np.empty_like(tr.act)
+    np.multiply((_ZERO < sig) & (sig < _ONE), _HS_SLOPE, out=slope[:, :3 * hidden])
+    np.subtract(_ONE, g**2, out=slope[:, 3 * hidden:])
     # dZ[t] = [dc, dc, dh, dc] * dz_dstate[t], block by block in gate order.
     dz_dstate = np.concatenate((tr.c[:-1], g, tanh_c, i), axis=1) * slope
-    dc_dh = o * (1.0 - tanh_c**2)
+    dc_dh = o * (_ONE - tanh_c**2)
 
     dZ = np.empty_like(tr.act)
-    dh_next = np.zeros(hidden)
-    dc_next = np.zeros(hidden)
-    for t in reversed(range(len(dZ))):
-        dh = dh_next + dh_in[t]
-        dc = dc_next + dh * dc_dh[t]
-        dZ[t] = np.concatenate((dc, dc, dh, dc)) * dz_dstate[t]
-        dc_next = dc * f[t]
-        dh_next = layer.W.T @ dZ[t]
+    WT = layer.W.T
+    dh, dc, dh_dc = np.zeros(hidden), np.zeros(hidden), np.empty(hidden)
+    rows = (dh_in, dc_dh, dz_dstate.reshape(steps, 4, hidden), dZ, dZ.reshape(steps, 4, hidden), f)
+    # Backwards in time: dh = dh_next + dh_in[t], dc = dc_next + dh * dc_dh[t],
+    # then dc_next = dc * f[t] and dh_next = W.T @ dZ[t].
+    for dh_in_t, dc_dh_t, dz_dstate_t, dZ_t, dZ_blocks_t, f_t in zip(*(a[::-1] for a in rows)):
+        dh += dh_in_t
+        np.multiply(dh, dc_dh_t, out=dh_dc)
+        dc += dh_dc
+        np.multiply(dz_dstate_t, dc, out=dZ_blocks_t)
+        np.multiply(dz_dstate_t[2], dh, out=dZ_blocks_t[2])
+        dc *= f_t
+        np.dot(WT, dZ_t, out=dh)
     return dZ
 
 
@@ -226,7 +254,7 @@ def stack_forward_trace(params: LstmStackParams, input_ids):
     traces: list[LayerTrace] = []
     for layer in params.layers:
         traces.append(_layer_forward(layer, traces[-1].h[1:] if traces else ids))
-    outputs = [softmax(params.V @ h) for h in traces[-1].h[1:]]
+    outputs = [softmax(np.dot(params.V, h)) for h in traces[-1].h[1:]]  # np.dot: bitwise V @ h, less overhead
     return outputs, traces
 
 
@@ -250,10 +278,10 @@ def stack_step(params: LstmStackParams, x_id: int, state: LstmState):
         h_shape, c_shape = getattr(h_prev, "shape", None), getattr(c_prev, "shape", None)  # None: not an array
         if h_shape != want or c_shape != want:
             raise ValueError(f"state layer {l} has h shape {h_shape} and c shape {c_shape}, expected {want} each")
-        x, c_l, _ = _cell(layer, x, h_prev, c_prev)
+        x, c_l, _ = _cell(layer, layer.U[:, x] if l == 0 else np.dot(layer.U, x), h_prev, c_prev)
         h.append(x)
         c.append(c_l)
-    return softmax(params.V @ x), LstmState(h, c)
+    return softmax(np.dot(params.V, x)), LstmState(h, c)
 
 
 def init_params(hidden: int = DEFAULT_HIDDEN, vocab: int = DEFAULT_VOCAB, seed: int = 0) -> LstmStackParams:

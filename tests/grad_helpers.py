@@ -1,7 +1,10 @@
-"""Dense views of the column-sparse layer-0 input gradient, for the oracles."""
+"""Helpers of the gradient oracles: dense views of the column-sparse layer-0
+input gradient, and a model whose gates sit in the flat hard-sigmoid regions."""
 
 import numpy as np
 
+from drnnsim import lm
+from drnnsim.corpus import TrainingPair
 from drnnsim.lm import LstmLayerParams
 from drnnsim.training import Gradients, named_arrays
 
@@ -18,3 +21,21 @@ def dense_named_gradients(grads: Gradients, vocab: int) -> dict[str, np.ndarray]
     layer0 = grads.layers[0]
     dense0 = LstmLayerParams(layer0.W, dense_input_gradient(grads, vocab), layer0.b)
     return named_arrays(Gradients([dense0, *grads.layers[1:]], grads.V, np.arange(vocab)))
+
+
+def saturated_params():
+    """Every forget gate clamped at 1 and unit 0's output gate clamped at 0.
+
+    The other output gates stay inside (0, 1), so h is non-zero and the
+    loss reaches the clamped gates: a slope of 0.2 where the value is
+    clamped would show in their gradients. (Closing every output gate
+    would make h = 0 and every LSTM gradient 0 whatever the slope.)
+    """
+    params = lm.init_params(hidden=3, vocab=6, seed=11)
+    for layer in params.layers:
+        layer.bf[...] += 3.0
+        layer.bo[:1] -= 3.0
+    return params
+
+
+SATURATED_PAIR = TrainingPair(input=[4, 1, 0], label=[1, 0, 5])

@@ -17,7 +17,7 @@ from drnnsim import lm
 from drnnsim.corpus import TrainingPair
 from drnnsim.lm import hard_sigmoid, softmax
 from drnnsim.training import bptt_gradients, named_arrays, sequence_loss
-from grad_helpers import dense_named_gradients
+from grad_helpers import SATURATED_PAIR, dense_named_gradients, saturated_params
 
 REL_TOL = 1e-12
 
@@ -126,23 +126,13 @@ def assert_close(got, want, what):
     assert err <= REL_TOL * scale, f"{what}: max |diff| {err:.3e} vs scale {scale:.3e}"
 
 
-def saturated_params():
-    # as in test_gradients_with_saturated_gates: gates pushed into the flat
-    # hard-sigmoid regions, where the slope is exactly zero
-    params = lm.init_params(hidden=3, vocab=6, seed=11)
-    for layer in params.layers:
-        layer.bf[...] += 3.0
-        layer.bo[...] -= 3.0
-    return params
-
-
 CASES = {
     "h4-V8": (lambda: lm.init_params(hidden=4, vocab=8, seed=7),
               TrainingPair(input=[5, 0, 3, 1, 6], label=[0, 3, 6, 2, 6])),
     "h16-V59": (lambda: lm.init_params(hidden=16, vocab=59, seed=42),
                 TrainingPair(input=[56, 3, 17, 3, 40, 58, 9, 3, 22, 0, 31],
                              label=[3, 17, 3, 40, 58, 9, 3, 22, 0, 31, 57])),
-    "saturated": (saturated_params, TrainingPair(input=[4, 1, 0], label=[1, 0, 5])),
+    "saturated": (saturated_params, SATURATED_PAIR),
 }
 
 

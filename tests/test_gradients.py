@@ -7,7 +7,7 @@ import pytest
 from drnnsim import lm
 from drnnsim.corpus import TrainingPair
 from drnnsim.training import bptt_gradients, named_arrays, sequence_loss
-from grad_helpers import dense_input_gradient, dense_named_gradients
+from grad_helpers import SATURATED_PAIR, dense_input_gradient, dense_named_gradients, saturated_params
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -65,12 +65,13 @@ def test_full_stack_gradients_match_finite_differences():
 def test_gradients_with_saturated_gates():
     # large biases push gates into the flat hard-sigmoid regions where the
     # analytic slope is exactly zero; the check must still hold
-    params = lm.init_params(hidden=3, vocab=6, seed=11)
-    for layer in params.layers:
-        layer.bf[...] += 3.0
-        layer.bo[...] -= 3.0
-    pair = TrainingPair(input=[4, 1, 0], label=[1, 0, 5])
-    check_all_gradients(params, pair)
+    params = saturated_params()
+    _, traces = lm.stack_forward_trace(params, SATURATED_PAIR.input)
+    for tr in traces:
+        f, o = tr.act[:, :3], tr.act[:, 6:9]
+        assert (f == 1.0).all() and (o[:, 0] == 0.0).all() and (o[:, 1:] > 0.0).all()
+        assert (tr.h[1:, 1:] != 0.0).all()  # only unit 0 is shut
+    check_all_gradients(params, SATURATED_PAIR)
 
 
 # The largest float below 2.5: 0.2 z + 0.5 rounds to exactly 1.0 there, so the

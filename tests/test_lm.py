@@ -85,6 +85,17 @@ class TestHardSigmoid:
         ys = hard_sigmoid(xs)
         assert np.all(ys >= 0.0) and np.all(ys <= 1.0)
 
+    def test_python_float_gives_a_scalar(self):
+        y = hard_sigmoid(0.0)
+        assert np.ndim(y) == 0 and float(y) == 0.5
+
+    def test_leaves_its_argument_unchanged(self):
+        xs = np.linspace(-4, 4, 33)
+        before = xs.copy()
+        ys = hard_sigmoid(xs)
+        np.testing.assert_array_equal(xs, before)
+        assert not np.shares_memory(xs, ys)
+
 
 class TestSoftmax:
     def test_uniform(self):
@@ -105,6 +116,13 @@ class TestSoftmax:
             out = softmax(rng.normal(scale=30.0, size=17))
             assert abs(out.sum() - 1.0) < 1e-12
             assert np.all(out >= 0.0)
+
+    def test_leaves_its_argument_unchanged(self):
+        z = np.random.default_rng(2).normal(size=9)
+        before = z.copy()
+        out = softmax(z)
+        np.testing.assert_array_equal(z, before)
+        assert not np.shares_memory(z, out)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +329,7 @@ def step_major_chain(params, ids, state0):
     for x in ids:
         step = []
         for l, layer in enumerate(params.layers):
-            h[l], c[l], act = lm._cell(layer, x, h[l], c[l])
+            h[l], c[l], act = lm._cell(layer, layer.U[:, x] if l == 0 else layer.U @ x, h[l], c[l])
             step.append((h[l], c[l], act))
             x = h[l]
         outputs.append(softmax(params.V @ h[-1]))
@@ -370,6 +388,28 @@ class TestLayerMajorSchedule:
             np.testing.assert_array_equal(probs, expected)
         for got, want in zip(state.h + state.c, final.h + final.c):
             np.testing.assert_array_equal(got, want)
+
+
+def test_layer_trace_rows_are_distinct_arrays():
+    # each cell writes into its own trace rows, never into the previous step's
+    params = init_params(hidden=5, vocab=11, seed=8)
+    _, traces = stack_forward_trace(params, [3, 7, 7, 1, 0])
+    for tr in traces:
+        arrays = (tr.h, tr.c, tr.act)
+        assert not any(np.shares_memory(a, b) for k, a in enumerate(arrays) for b in arrays[k + 1:])
+        for rows in arrays:
+            assert all(not np.array_equal(rows[t], rows[t + 1]) for t in range(len(rows) - 1))
+
+
+def test_cell_results_do_not_alias_its_inputs():
+    layer = init_params(hidden=4, vocab=6, seed=2).layers[1]
+    rng = np.random.default_rng(3)
+    x, h_prev, c_prev = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4)
+    before = [a.copy() for a in (x, h_prev, c_prev, layer.W, layer.U, layer.b)]
+    h, c = lstm_cell_forward(layer, x, h_prev, c_prev)
+    for a, b in zip((x, h_prev, c_prev, layer.W, layer.U, layer.b), before):
+        np.testing.assert_array_equal(a, b)
+    assert not any(np.shares_memory(out, a) for out in (h, c) for a in (x, h_prev, c_prev))
 
 
 class TestStackStep:
