@@ -28,6 +28,18 @@ _INT16_MIN = -(1 << (_OPERAND_BITS - 1))
 _INT16_MAX = (1 << (_OPERAND_BITS - 1)) - 1
 
 
+def _check_int_fields(obj, *names: str) -> None:
+    """Each named field must be an ``int`` (not a bool) or numpy integer, as a token id must be in ``lm``.
+
+    The field is stored as a Python ``int``, so sizes derived from a numpy integer cannot wrap around.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))  # the dataclasses are frozen
+
+
 @dataclass(frozen=True)
 class FixedPointFormat:
     """Signed Q(m,n) format: m integer bits, n fractional bits, value = raw / 2^n."""
@@ -36,6 +48,7 @@ class FixedPointFormat:
     frac_bits: int
 
     def __post_init__(self):
+        _check_int_fields(self, "int_bits", "frac_bits")
         if self.int_bits < 0 or self.frac_bits < 0:
             raise ValueError("bit counts must be non-negative")
         if not 1 <= self.int_bits + self.frac_bits <= _OPERAND_BITS:
@@ -173,6 +186,7 @@ class AcceleratorConfig:
     clock_mhz: float = 200.0
 
     def __post_init__(self):
+        _check_int_fields(self, "num_pes", "lanes_per_pe", "chunk_len")
         if self.num_pes < 1 or self.lanes_per_pe < 1 or self.chunk_len < 1:
             raise ValueError("num_pes, lanes_per_pe, chunk_len must be >= 1")
         if not (math.isfinite(self.clock_mhz) and self.clock_mhz > 0):

@@ -19,7 +19,7 @@ N_LAYERS = 3
 DEFAULT_HIDDEN = 50
 DEFAULT_VOCAB = 4000
 
-# hard_sigmoid(x) = clamp(0.2 x + 0.5, 0, 1); its slope is 0.2 where the
+# The hard sigmoid clamp(0.2 x + 0.5, 0, 1) has slope 0.2 where the
 # value lies strictly inside (0, 1) and 0 where it is clamped. The constants
 # are 0-d arrays: numpy converts a Python float operand on every call, which
 # costs about a third of a ufunc call on a cell's 3H gate entries.
@@ -32,11 +32,6 @@ def _hard_sigmoid_inplace(z: np.ndarray) -> np.ndarray:
     z += _HALF
     np.maximum(z, _ZERO, out=z)
     return np.minimum(z, _ONE, out=z)
-
-
-def hard_sigmoid(x):
-    """Piecewise-linear sigmoid approximation clamp(0.2 x + 0.5, 0, 1), on a copy of ``x``."""
-    return _hard_sigmoid_inplace(np.array(x, dtype=np.float64))[()]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -128,31 +123,31 @@ class LstmStackParams:
 
 @dataclass
 class LstmState:
-    """Per-layer hidden and cell vectors, numpy arrays of shape (H,)."""
+    """Per-layer hidden and cell rows: ``h`` and ``c`` are float64 arrays of shape (N_LAYERS, H).
 
-    h: list[np.ndarray]
-    c: list[np.ndarray]
+    Row l is layer l's vector, as row t of a ``LayerTrace`` is step t's.
+    """
+
+    h: np.ndarray
+    c: np.ndarray
 
 
 def zero_state(params: LstmStackParams) -> LstmState:
-    return LstmState(
-        [np.zeros(params.hidden) for _ in params.layers],
-        [np.zeros(params.hidden) for _ in params.layers],
-    )
+    return LstmState(np.zeros((N_LAYERS, params.hidden)), np.zeros((N_LAYERS, params.hidden)))
 
 
-def _cell(layer: LstmLayerParams, x_term, h_prev, c_prev, out=None):
-    """The LSTM cell over the fused gate blocks, on the input term ``x_term`` = U x; returns (h, c, act).
+def _cell(layer: LstmLayerParams, x_term, h_prev, c_prev, out) -> None:
+    """The LSTM cell over the fused gate blocks, on the input term ``x_term`` = U x, written into ``out``.
 
     The caller decides the input term (column ``U[:, x]`` for a token id,
-    ``U @ x`` for a vector) and may pass rows ``out`` = (h, c, act) to
-    write into. ``act`` holds the 4H gate values in order f, i, o, g:
+    ``U @ x`` for a vector) and owns the rows ``out`` = (h, c, act) that
+    the cell writes. ``act`` holds the 4H gate values in order f, i, o, g:
     hard-sigmoid of z = W h + U x + b on the first 3H entries, tanh on the
     candidate g. Forget and input gates scale the cell update, the output
     gate scales tanh(c). Biases sit inside the nonlinearities.
     """
     hidden = layer.hidden
-    h, c, act = (np.empty(hidden), np.empty(hidden), np.empty(4 * hidden)) if out is None else out
+    h, c, act = out
     np.dot(layer.W, h_prev, out=act)
     act += x_term
     act += layer.b
@@ -164,15 +159,15 @@ def _cell(layer: LstmLayerParams, x_term, h_prev, c_prev, out=None):
     c += h
     np.tanh(c, out=h)
     h *= o
-    return h, c, act
 
 
 def lstm_cell_forward(layer: LstmLayerParams, x, h_prev: np.ndarray, c_prev: np.ndarray):
-    """One LSTM cell step on a token id or an input vector ``x``; returns (h, c)."""
+    """One LSTM cell step on a token id or an input vector ``x``; returns fresh (h, c)."""
     if np.ndim(x) == 0:
         _check_token_id(x, layer.input_dim)
+    h, c, act = np.empty(layer.hidden), np.empty(layer.hidden), np.empty(4 * layer.hidden)
     # a one-hot input reduces U @ x to a column pick
-    h, c, _ = _cell(layer, layer.U[:, x] if np.ndim(x) == 0 else layer.U @ x, h_prev, c_prev)
+    _cell(layer, layer.U[:, x] if np.ndim(x) == 0 else layer.U @ x, h_prev, c_prev, (h, c, act))
     return h, c
 
 
@@ -261,27 +256,24 @@ def stack_forward_trace(params: LstmStackParams, input_ids):
 def stack_forward(params: LstmStackParams, input_ids):
     """Forward from the zero state; returns (outputs, state after the last token), which ``stack_step`` continues."""
     outputs, traces = stack_forward_trace(params, input_ids)
-    return outputs, LstmState([tr.h[-1] for tr in traces], [tr.c[-1] for tr in traces])
+    return outputs, LstmState(np.array([tr.h[-1] for tr in traces]), np.array([tr.c[-1] for tr in traces]))
 
 
 def stack_step(params: LstmStackParams, x_id: int, state: LstmState):
     """Advance the stack by one token; returns (output distribution, new state), ``state`` untouched.
 
-    ``state`` must hold exactly N_LAYERS h and c arrays of shape (H,), else ValueError.
+    ``state.h`` and ``state.c`` must each have shape (N_LAYERS, H), else ValueError.
     """
     _check_token_id(x_id, params.vocab)
-    if len(state.h) != N_LAYERS or len(state.c) != N_LAYERS:
-        raise ValueError(f"state holds {len(state.h)} h and {len(state.c)} c vectors, expected {N_LAYERS} each")
-    want = (params.hidden,)
-    x, h, c = x_id, [], []
-    for l, (layer, h_prev, c_prev) in enumerate(zip(params.layers, state.h, state.c)):
-        h_shape, c_shape = getattr(h_prev, "shape", None), getattr(c_prev, "shape", None)  # None: not an array
-        if h_shape != want or c_shape != want:
-            raise ValueError(f"state layer {l} has h shape {h_shape} and c shape {c_shape}, expected {want} each")
-        x, c_l, _ = _cell(layer, layer.U[:, x] if l == 0 else np.dot(layer.U, x), h_prev, c_prev)
-        h.append(x)
-        c.append(c_l)
-    return softmax(np.dot(params.V, x)), LstmState(h, c)
+    want, h_shape, c_shape = (N_LAYERS, params.hidden), np.shape(state.h), np.shape(state.c)
+    if h_shape != want or c_shape != want:
+        raise ValueError(f"state has h shape {h_shape} and c shape {c_shape}, expected {want} each")
+    new, act, x_term = zero_state(params), np.empty(4 * params.hidden), np.empty(4 * params.hidden)
+    x = x_id
+    for l, (layer, h_prev, c_prev, h, c) in enumerate(zip(params.layers, state.h, state.c, new.h, new.c)):
+        _cell(layer, layer.U[:, x] if l == 0 else np.dot(layer.U, x, out=x_term), h_prev, c_prev, (h, c, act))
+        x = h
+    return softmax(np.dot(params.V, x)), new
 
 
 def init_params(hidden: int = DEFAULT_HIDDEN, vocab: int = DEFAULT_VOCAB, seed: int = 0) -> LstmStackParams:

@@ -423,6 +423,28 @@ class TestTimingModel:
         assert report.mult_ops == 10**200 * 50 and report.latency_ns == 250.0
         assert report.gops == 2 * 10**200 * 50 / 250.0
 
+    @pytest.mark.parametrize("value", [5.5, 8.0, True, "5", np.int64(5)],
+                             ids=["float-5.5", "float-8.0", "bool", "str", "np.int64"])
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: AcceleratorConfig(num_pes=v), "num_pes"),
+        (lambda v: AcceleratorConfig(lanes_per_pe=v), "lanes_per_pe"),
+        (lambda v: AcceleratorConfig(chunk_len=v), "chunk_len"),
+        (lambda v: FixedPointFormat(v, 8), "int_bits"),
+        (lambda v: FixedPointFormat(8, v), "frac_bits"),
+    ], ids=["num_pes", "lanes_per_pe", "chunk_len", "int_bits", "frac_bits"])
+    def test_geometry_and_bit_counts_must_be_integers(self, make, field, value):
+        # the token-id rule: an int (not a bool) or a numpy integer, never coerced from anything else
+        if isinstance(value, np.integer):
+            made = getattr(make(value), field)
+            assert made == 5 and type(made) is int
+        else:
+            with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+                make(value)
+
+    def test_numpy_integer_geometry_does_not_wrap(self):
+        # stored as a Python int, so rows are 2^64, not int64's wrapped 0
+        assert AcceleratorConfig(num_pes=np.int64(2**62), lanes_per_pe=np.int64(4)).rows == 2**64
+
     @pytest.mark.parametrize("clock_mhz", [1e-320, 5e-324, 1e-305])
     def test_clock_too_small_for_a_finite_latency(self, clock_mhz):
         with pytest.raises(ValueError, match="too small: a batch's latency in ns is not finite"):

@@ -15,7 +15,7 @@ import pytest
 
 from drnnsim import lm
 from drnnsim.corpus import TrainingPair
-from drnnsim.lm import hard_sigmoid, softmax
+from drnnsim.lm import softmax
 from drnnsim.training import bptt_gradients, named_arrays, sequence_loss
 from grad_helpers import SATURATED_PAIR, dense_named_gradients, saturated_params
 
@@ -32,6 +32,10 @@ def ref_input_term(U, x):
     return U @ x
 
 
+def ref_hard_sigmoid(z):
+    return np.clip(0.2 * z + 0.5, 0.0, 1.0)
+
+
 def ref_hard_sigmoid_deriv(z):
     return np.where(np.abs(z) < 2.5, 0.2, 0.0)
 
@@ -41,9 +45,9 @@ def ref_cell(layer, x, h_prev, c_prev):
     zi = layer.Wi @ h_prev + ref_input_term(layer.Ui, x) + layer.bi
     zo = layer.Wo @ h_prev + ref_input_term(layer.Uo, x) + layer.bo
     zg = layer.Wg @ h_prev + ref_input_term(layer.Ug, x) + layer.bg
-    f = hard_sigmoid(zf)
-    i = hard_sigmoid(zi)
-    o = hard_sigmoid(zo)
+    f = ref_hard_sigmoid(zf)
+    i = ref_hard_sigmoid(zi)
+    o = ref_hard_sigmoid(zo)
     g = np.tanh(zg)
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)

@@ -3,6 +3,7 @@ stack, checked against independent scalar (pure Python) oracles."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from drnnsim import lm
 from drnnsim.lm import (
     LstmLayerParams,
-    hard_sigmoid,
     init_params,
     lstm_cell_forward,
     softmax,
@@ -63,8 +63,13 @@ def onehot(i, n):
 
 
 # ---------------------------------------------------------------------------
-# hard_sigmoid / softmax
+# hard sigmoid / softmax
 # ---------------------------------------------------------------------------
+
+def hard_sigmoid(x):
+    """The cell's in-place hard sigmoid, applied to a float64 copy of ``x``."""
+    return lm._hard_sigmoid_inplace(np.array(x, dtype=np.float64))
+
 
 class TestHardSigmoid:
     def test_midpoint(self):
@@ -77,24 +82,13 @@ class TestHardSigmoid:
         assert hard_sigmoid(-100.0) == 0.0
 
     def test_linear_region(self):
-        assert hard_sigmoid(1.0) == pytest.approx(0.7, abs=1e-12)
-        assert hard_sigmoid(-1.5) == pytest.approx(0.2, abs=1e-12)
+        assert float(hard_sigmoid(1.0)) == pytest.approx(0.7, abs=1e-12)
+        assert float(hard_sigmoid(-1.5)) == pytest.approx(0.2, abs=1e-12)
 
     def test_array_input_stays_in_unit_interval(self):
         xs = np.linspace(-10, 10, 401)
         ys = hard_sigmoid(xs)
         assert np.all(ys >= 0.0) and np.all(ys <= 1.0)
-
-    def test_python_float_gives_a_scalar(self):
-        y = hard_sigmoid(0.0)
-        assert np.ndim(y) == 0 and float(y) == 0.5
-
-    def test_leaves_its_argument_unchanged(self):
-        xs = np.linspace(-4, 4, 33)
-        before = xs.copy()
-        ys = hard_sigmoid(xs)
-        np.testing.assert_array_equal(xs, before)
-        assert not np.shares_memory(xs, ys)
 
 
 class TestSoftmax:
@@ -315,7 +309,7 @@ def schedule_case(hidden, vocab, random_state0=False):
     ids = [int(x) for x in rng.integers(0, vocab, size=SENTENCE_LEN)]
     state0 = zero_state(params)
     if random_state0:
-        state0 = lm.LstmState([rng.normal(size=hidden) for _ in range(3)], [rng.normal(size=hidden) for _ in range(3)])
+        state0 = lm.LstmState(rng.normal(size=(3, hidden)), rng.normal(size=(3, hidden)))
     return params, ids, state0
 
 
@@ -329,8 +323,10 @@ def step_major_chain(params, ids, state0):
     for x in ids:
         step = []
         for l, layer in enumerate(params.layers):
-            h[l], c[l], act = lm._cell(layer, layer.U[:, x] if l == 0 else layer.U @ x, h[l], c[l])
-            step.append((h[l], c[l], act))
+            out = (np.empty(params.hidden), np.empty(params.hidden), np.empty(4 * params.hidden))
+            lm._cell(layer, layer.U[:, x] if l == 0 else layer.U @ x, h[l], c[l], out)
+            h[l], c[l], _ = out
+            step.append(out)
             x = h[l]
         outputs.append(softmax(params.V @ h[-1]))
         rows.append(step)
@@ -376,8 +372,8 @@ class TestLayerMajorSchedule:
         assert len(head + tail) == len(outputs)
         for got, want in zip(head + tail, outputs):
             np.testing.assert_array_equal(got, want)
-        for got, want in zip(state.h + state.c, final.h + final.c):
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(state.h, final.h)
+        np.testing.assert_array_equal(state.c, final.c)
 
     def test_chained_stack_step_equals_stack_forward(self, hidden, vocab):
         params, ids, state0 = schedule_case(hidden, vocab)
@@ -386,8 +382,8 @@ class TestLayerMajorSchedule:
         for x, expected in zip(ids, outputs):
             probs, state = lm.stack_step(params, x, state)
             np.testing.assert_array_equal(probs, expected)
-        for got, want in zip(state.h + state.c, final.h + final.c):
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(state.h, final.h)
+        np.testing.assert_array_equal(state.c, final.c)
 
 
 def test_layer_trace_rows_are_distinct_arrays():
@@ -415,13 +411,33 @@ def test_cell_results_do_not_alias_its_inputs():
 class TestStackStep:
     def test_leaves_the_given_state_unchanged(self):
         params, ids, state0 = schedule_case(4, 8, random_state0=True)
-        h_arrays, c_arrays = list(state0.h), list(state0.c)
-        before = [v.copy() for v in state0.h + state0.c]
+        h0, c0 = state0.h, state0.c
+        h_before, c_before = h0.copy(), c0.copy()
         _, new = lm.stack_step(params, ids[0], state0)
-        assert all(a is b for a, b in zip(state0.h + state0.c, h_arrays + c_arrays))
-        for v, old in zip(state0.h + state0.c, before):
-            np.testing.assert_array_equal(v, old)
+        assert state0.h is h0 and state0.c is c0
+        np.testing.assert_array_equal(state0.h, h_before)
+        np.testing.assert_array_equal(state0.c, c_before)
         assert not any(np.array_equal(a, b) for a, b in zip(new.h, state0.h))
+
+    def test_new_state_shares_no_memory_with_the_given_one(self):
+        params, ids, state0 = schedule_case(4, 8, random_state0=True)
+        _, new = lm.stack_step(params, ids[0], state0)
+        assert (new.h.shape, new.c.shape, new.h.dtype, new.c.dtype) == ((3, 4), (3, 4), np.float64, np.float64)
+        arrays = (new.h, new.c, state0.h, state0.c)
+        assert not any(np.shares_memory(a, b) for k, a in enumerate(arrays[:2]) for b in arrays[k + 1:])
+
+    def test_accepts_a_state_given_as_lists_of_rows(self):
+        params, ids, state0 = schedule_case(4, 8, random_state0=True)
+        probs, new = lm.stack_step(params, ids[0], state0)
+        list_probs, list_new = lm.stack_step(params, ids[0], lm.LstmState(list(state0.h), list(state0.c)))
+        np.testing.assert_array_equal(list_probs, probs)
+        np.testing.assert_array_equal(list_new.h, new.h)
+        np.testing.assert_array_equal(list_new.c, new.c)
+
+    def test_rejects_a_ragged_list_state(self):
+        params, ids, state0 = schedule_case(4, 8)
+        with pytest.raises(ValueError):
+            lm.stack_step(params, ids[0], lm.LstmState([*state0.h[:2], np.zeros(5)], list(state0.c)))
 
     @pytest.mark.parametrize("x_id", [-1, 8, 100])
     def test_rejects_out_of_range_id(self, x_id):
@@ -429,20 +445,18 @@ class TestStackStep:
         with pytest.raises(ValueError):
             lm.stack_step(params, x_id, state0)
 
-    @pytest.mark.parametrize("malform, message", [
-        (lambda s: lm.LstmState(s.h[:2], s.c[:2]), "state holds 2 h and 2 c vectors, expected 3 each"),
-        (lambda s: lm.LstmState(s.h + s.h[:1], s.c + s.c[:1]), "state holds 4 h and 4 c vectors, expected 3 each"),
-        (lambda s: lm.LstmState(s.h, s.c[:2]), "state holds 3 h and 2 c vectors, expected 3 each"),
-        (lambda s: lm.LstmState(s.h, s.c[:2] + [np.zeros(1)]),
-         r"state layer 2 has h shape \(4,\) and c shape \(1,\), expected \(4,\) each"),
-        (lambda s: lm.LstmState([np.zeros((1, 4))] + s.h[1:], s.c),
-         r"state layer 0 has h shape \(1, 4\) and c shape \(4,\), expected \(4,\) each"),
-        (lambda s: lm.LstmState(s.h[:2] + [[0.0] * 4], s.c),
-         r"state layer 2 has h shape None and c shape \(4,\), expected \(4,\) each"),
+    @pytest.mark.parametrize("malform, h_shape, c_shape", [
+        (lambda s: lm.LstmState(s.h[:2], s.c[:2]), (2, 4), (2, 4)),
+        (lambda s: lm.LstmState(np.vstack((s.h, s.h[:1])), np.vstack((s.c, s.c[:1]))), (4, 4), (4, 4)),
+        (lambda s: lm.LstmState(s.h, s.c[:2]), (3, 4), (2, 4)),
+        (lambda s: lm.LstmState(s.h, s.c[:, :1]), (3, 4), (3, 1)),
+        (lambda s: lm.LstmState(s.h[:, None], s.c), (3, 1, 4), (3, 4)),  # each layer's h has rank 2
+        (lambda s: lm.LstmState(list(s.h[:2]), s.c), (2, 4), (3, 4)),  # a list's shape is read as an array's
     ], ids=["2-layers", "4-layers", "3h-2c", "c-width-1", "h-rank-2", "h-list"])
-    def test_rejects_a_malformed_state(self, malform, message):
+    def test_rejects_a_malformed_state(self, malform, h_shape, c_shape):
         params, ids, state0 = schedule_case(4, 8)
-        with pytest.raises(ValueError, match=rf"^{message}$"):
+        message = f"state has h shape {h_shape} and c shape {c_shape}, expected (3, 4) each"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lm.stack_step(params, ids[0], malform(state0))
 
 
@@ -467,6 +481,7 @@ def test_init_params_rejects_empty_shapes(hidden, vocab, bad):
 def test_zero_state_shapes():
     params = init_params(hidden=4, vocab=9, seed=0)
     state = zero_state(params)
-    assert len(state.h) == 3 and len(state.c) == 3
-    for v in state.h + state.c:
-        np.testing.assert_array_equal(v, np.zeros(4))
+    for rows in (state.h, state.c):
+        assert rows.dtype == np.float64
+        np.testing.assert_array_equal(rows, np.zeros((3, 4)))
+    assert not np.shares_memory(state.h, state.c)
