@@ -19,6 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .lm import _is_int
+
 # ---------------------------------------------------------------------------
 # Q(m,n) fixed-point formats
 # ---------------------------------------------------------------------------
@@ -29,13 +31,13 @@ _INT16_MAX = (1 << (_OPERAND_BITS - 1)) - 1
 
 
 def _check_int_fields(obj, *names: str) -> None:
-    """Each named field must be an ``int`` (not a bool) or numpy integer, as a token id must be in ``lm``.
+    """Each named field must follow ``lm._is_int``, the integer rule a token id follows.
 
     The field is stored as a Python ``int``, so sizes derived from a numpy integer cannot wrap around.
     """
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(obj, name, int(value))  # the dataclasses are frozen
 

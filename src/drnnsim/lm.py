@@ -262,15 +262,20 @@ def stack_forward(params: LstmStackParams, input_ids):
 def stack_step(params: LstmStackParams, x_id: int, state: LstmState):
     """Advance the stack by one token; returns (output distribution, new state), ``state`` untouched.
 
-    ``state.h`` and ``state.c`` must each have shape (N_LAYERS, H), else ValueError.
+    ``state.h`` and ``state.c`` must each have shape (N_LAYERS, H) and a
+    bool, int or float dtype, else ValueError.
     """
     _check_token_id(x_id, params.vocab)
-    want, h_shape, c_shape = (N_LAYERS, params.hidden), np.shape(state.h), np.shape(state.c)
-    if h_shape != want or c_shape != want:
-        raise ValueError(f"state has h shape {h_shape} and c shape {c_shape}, expected {want} each")
+    want, h_rows, c_rows = (N_LAYERS, params.hidden), np.asarray(state.h), np.asarray(state.c)
+    if h_rows.shape != want or c_rows.shape != want:
+        raise ValueError(f"state has h shape {h_rows.shape} and c shape {c_rows.shape}, expected {want} each")
+    if h_rows.dtype.kind not in "biuf" or c_rows.dtype.kind not in "biuf":
+        raise ValueError(
+            f"state has h dtype {h_rows.dtype} and c dtype {c_rows.dtype}, expected bool, int or float each"
+        )
     new, act, x_term = zero_state(params), np.empty(4 * params.hidden), np.empty(4 * params.hidden)
     x = x_id
-    for l, (layer, h_prev, c_prev, h, c) in enumerate(zip(params.layers, state.h, state.c, new.h, new.c)):
+    for l, (layer, h_prev, c_prev, h, c) in enumerate(zip(params.layers, h_rows, c_rows, new.h, new.c)):
         _cell(layer, layer.U[:, x] if l == 0 else np.dot(layer.U, x, out=x_term), h_prev, c_prev, (h, c, act))
         x = h
     return softmax(np.dot(params.V, x)), new
@@ -278,6 +283,9 @@ def stack_step(params: LstmStackParams, x_id: int, state: LstmState):
 
 def init_params(hidden: int = DEFAULT_HIDDEN, vocab: int = DEFAULT_VOCAB, seed: int = 0) -> LstmStackParams:
     """Seeded initialization: each matrix uniform in +-1/sqrt(fan_in), biases zero."""
+    for name, value in (("hidden", hidden), ("vocab", vocab), ("seed", seed)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     for name, size in (("hidden", hidden), ("vocab", vocab)):
         if size < 1:
             raise ValueError(f"{name} must be >= 1, got {size}")
@@ -295,9 +303,14 @@ def init_params(hidden: int = DEFAULT_HIDDEN, vocab: int = DEFAULT_VOCAB, seed: 
     return LstmStackParams(layers=layers, V=mat(vocab, hidden))
 
 
+def _is_int(value) -> bool:
+    """The one integer rule: an ``int`` (not a bool) or numpy integer, never coerced."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_token_id(x_id, vocab: int, what: str = "token") -> None:
-    """The one token-id rule: an ``int`` (not a bool) or numpy integer in [0, vocab), never coerced."""
-    if isinstance(x_id, bool) or not isinstance(x_id, (int, np.integer)):
+    """The one token-id rule: an integer (``_is_int``) in [0, vocab), never coerced."""
+    if not _is_int(x_id):
         raise ValueError(f"{what} id {x_id!r} is not an integer")
     if not 0 <= x_id < vocab:
         raise ValueError(f"{what} id {x_id} out of range [0, {vocab})")

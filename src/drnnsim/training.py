@@ -5,6 +5,7 @@ perplexity tracking, sentence scoring, and binary model persistence."""
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -14,11 +15,11 @@ import numpy as np
 from .corpus import TrainingPair, start_token_id
 from .lm import (
     GATE_PARAM_FIELDS,
-    GATES,
     N_LAYERS,
     LstmLayerParams,
     LstmStackParams,
     _check_token_id,
+    _is_int,
     _layer_backward,
     stack_forward,
     stack_forward_trace,
@@ -92,14 +93,15 @@ class Gradients:
     input_ids: np.ndarray
 
 
+# The model container's array order, the only one it has: each layer's per-gate
+# arrays in GATE_PARAM_FIELDS order, layers bottom up, then V.
+ARRAY_NAMES = tuple(f"layer{l}.{name}" for l in range(N_LAYERS) for name in GATE_PARAM_FIELDS) + ("V",)
+
+
 def named_arrays(obj: LstmStackParams | Gradients) -> dict[str, np.ndarray]:
-    """Flat name -> array view of a parameter or gradient container."""
-    arrays: dict[str, np.ndarray] = {}
-    for l, layer in enumerate(obj.layers):
-        for name in GATE_PARAM_FIELDS:
-            arrays[f"layer{l}.{name}"] = getattr(layer, name)
-    arrays["V"] = obj.V
-    return arrays
+    """Flat name -> array view of a parameter or gradient container, in ``ARRAY_NAMES`` order."""
+    arrays = [getattr(layer, name) for layer in obj.layers for name in GATE_PARAM_FIELDS] + [obj.V]
+    return dict(zip(ARRAY_NAMES, arrays, strict=True))
 
 
 def bptt_gradients(params: LstmStackParams, pair: TrainingPair):
@@ -142,6 +144,14 @@ def _fused_arrays(obj: LstmStackParams | Gradients) -> list[np.ndarray]:
     return [arr for layer in obj.layers for arr in (layer.W, layer.U, layer.b)] + [obj.V]
 
 
+def _check_learning_rate(learning_rate) -> None:
+    """The one learning-rate rule: a real number (not a bool), finite and > 0."""
+    if isinstance(learning_rate, bool) or not isinstance(learning_rate, numbers.Real):
+        raise ValueError(f"learning_rate must be a real number, got {learning_rate!r}")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
+
+
 def sgd_step(params: LstmStackParams, grads: Gradients, learning_rate: float) -> LstmStackParams:
     """In-place SGD update of every parameter array.
 
@@ -150,8 +160,7 @@ def sgd_step(params: LstmStackParams, grads: Gradients, learning_rate: float) ->
     reaches the columns named by ``grads.input_ids``; the columns it skips
     would have been updated by zero, which leaves a finite value unchanged.
     """
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
+    _check_learning_rate(learning_rate)
     grad_arrays = _fused_arrays(grads)
     for g in grad_arrays:
         if not np.isfinite(g).all():
@@ -176,12 +185,13 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.eval_interval < 1:
-            raise ValueError("eval_interval must be >= 1")
+        _check_learning_rate(self.learning_rate)
+        for name in ("epochs", "eval_interval", "rng_seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "rng_seed":
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -280,9 +290,10 @@ def evaluate(params: LstmStackParams, pairs: list[TrainingPair]):
 # Model persistence
 #
 # Binary layout (little-endian):
-#   magic "DRNN" | version u32 | array count u32
-#   per array: name length u16 | name utf-8 | dtype code u8 (0=f64, 1=f32)
-#              | rank u8 | dims u64 each | raw row-major data
+#   magic "DRNN" | version u32 | array count u32 (= len(ARRAY_NAMES))
+#   per array, in ARRAY_NAMES order: name length u16 | name utf-8
+#              | dtype code u8 (0=f64, 1=f32) | rank u8 | dims u64 each
+#              | raw row-major data
 # ---------------------------------------------------------------------------
 
 MODEL_MAGIC = b"DRNN"
@@ -296,29 +307,21 @@ def save_model(params: LstmStackParams, path, dtype: str = "f64") -> None:
     if dtype not in _DTYPE_CODE:
         raise ValueError(f"dtype must be one of {sorted(_DTYPE_CODE)}")
     code = _DTYPE_CODE[dtype]
-    np_dtype = _DTYPE_NP[code]
-    arrays = named_arrays(params)
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<II", MODEL_VERSION, len(arrays)))
-        for name, arr in arrays.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<BB", code, arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(np.ascontiguousarray(arr, dtype=np_dtype))  # the array's buffer, no bytes copy
+        fh.write(struct.pack("<4sII", MODEL_MAGIC, MODEL_VERSION, len(ARRAY_NAMES)))
+        for name, arr in named_arrays(params).items():
+            utf8 = name.encode("utf-8")
+            fh.write(struct.pack(f"<H{len(utf8)}sBB{arr.ndim}Q", len(utf8), utf8, code, arr.ndim, *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_NP[code]))  # the array's buffer, no bytes copy
 
 
 def load_model(path) -> LstmStackParams:
-    """Read a model container back into float64 parameters.
+    """Read a container of the ``ARRAY_NAMES`` arrays, in that order, back into float64 parameters.
 
-    Every malformed file raises ModelFormatError. The headers are read and
-    checked against the topology named by V's shape, and the values are
-    checked for finiteness on views of the file's bytes, before any
-    parameter array is allocated; each layer's fused arrays are then built
-    with one concatenation of their gate blocks.
+    Every malformed file raises ModelFormatError. Headers, shapes (against
+    V's topology) and finiteness are checked on views of the file's bytes
+    before any parameter array is allocated; each fused array is then one
+    concatenation of its four consecutive gate blocks.
     """
     data = memoryview(Path(path).read_bytes())  # slices share the file's bytes, no copy
     offset = 0
@@ -336,55 +339,48 @@ def load_model(path) -> LstmStackParams:
     version, count = struct.unpack("<II", take(8))
     if version != MODEL_VERSION:
         raise ModelFormatError(f"unknown model version {version}")
+    if count != len(ARRAY_NAMES):
+        raise ModelFormatError(f"array count {count}, expected {len(ARRAY_NAMES)}")
 
-    arrays: dict[str, np.ndarray] = {}  # name -> its data, a view of the file's bytes
-    for _ in range(count):
+    arrays = []  # in container order, each a view of the file's bytes
+    for position, want in enumerate(ARRAY_NAMES):
         (name_len,) = struct.unpack("<H", take(2))
         try:
             name = str(take(name_len), "utf-8")
         except UnicodeDecodeError:
             raise ModelFormatError("array name is not valid UTF-8") from None
-        if name in arrays:
-            raise ModelFormatError(f"duplicate array {name}")
+        if name != want:
+            raise ModelFormatError(f"array {position} is {name!r}, expected {want!r}")
         code, rank = struct.unpack("<BB", take(2))
         if code not in _DTYPE_NP:
             raise ModelFormatError(f"unknown dtype code {code}")
         shape = struct.unpack(f"<{rank}Q", take(8 * rank))
-        np_dtype = _DTYPE_NP[code]
-        raw = take(math.prod(shape) * np_dtype.itemsize)  # Python ints: no overflow
+        raw = take(math.prod(shape) * _DTYPE_NP[code].itemsize)  # Python ints: no overflow
         try:
-            arrays[name] = np.frombuffer(raw, np_dtype).reshape(shape)
+            arrays.append(np.frombuffer(raw, _DTYPE_NP[code]).reshape(shape))
         except ValueError:  # only a zero-size array gets here: its other dims are too large for numpy
             raise ModelFormatError(f"array {name} shape {shape} is too large") from None
     if offset != len(data):
         raise ModelFormatError("trailing bytes after last array")
 
-    if "V" not in arrays:
-        raise ModelFormatError("missing output projection array V")
-    if arrays["V"].ndim != 2:
-        raise ModelFormatError(f"V has rank {arrays['V'].ndim}, expected 2")
-    vocab, hidden = arrays["V"].shape
+    if arrays[-1].ndim != 2:
+        raise ModelFormatError(f"V has rank {arrays[-1].ndim}, expected 2")
+    vocab, hidden = arrays[-1].shape
     for name, size in (("hidden", hidden), ("vocab", vocab)):
         if size < 1:
             raise ModelFormatError(f"{name} must be >= 1, got {size}")
-    expected = {}  # in container order, which the finiteness checks follow
-    for l in range(N_LAYERS):
-        shapes = {"W": (hidden, hidden), "U": (hidden, vocab if l == 0 else hidden), "b": (hidden,)}
-        expected.update({f"layer{l}.{name}": shapes[name[0]] for name in GATE_PARAM_FIELDS})
-    expected["V"] = (vocab, hidden)
-    for name, want in expected.items():
-        if name not in arrays:
-            raise ModelFormatError(f"missing array {name}")
-        if arrays[name].shape != want:
-            raise ModelFormatError(f"array {name} shape {arrays[name].shape} != {want}")
-    if arrays.keys() != expected.keys():
-        raise ModelFormatError(f"unexpected arrays: {sorted(arrays.keys() - expected.keys())}")
-    for name in expected:
-        if not np.all(np.isfinite(arrays[name])):
+    expected = []  # each array's shape, in container order, which the checks below follow
+    for n_in in [vocab] + [hidden] * (N_LAYERS - 1):  # each layer's input width
+        shapes = {"W": (hidden, hidden), "U": (hidden, n_in), "b": (hidden,)}
+        expected += [shapes[name[0]] for name in GATE_PARAM_FIELDS]
+    for name, arr, want in zip(ARRAY_NAMES, arrays, expected + [(vocab, hidden)]):
+        if arr.shape != want:
+            raise ModelFormatError(f"array {name} shape {arr.shape} != {want}")
+    for name, arr in zip(ARRAY_NAMES, arrays):
+        if not np.all(np.isfinite(arr)):
             raise ModelFormatError(f"non-finite values in array {name}")
 
-    def fused(l: int, kind: str) -> np.ndarray:
-        return np.concatenate([arrays[f"layer{l}.{kind}{gate}"] for gate in GATES], dtype=np.float64)
-
-    layers = [LstmLayerParams(*(fused(l, kind) for kind in "WUb")) for l in range(N_LAYERS)]
-    return LstmStackParams(layers, arrays["V"].astype(np.float64))
+    # Each fused array is four consecutive gate blocks (f, i, o, g), and each layer's three are W, U, b.
+    fused = [np.concatenate(arrays[k:k + 4], dtype=np.float64) for k in range(0, len(arrays) - 1, 4)]
+    layers = [LstmLayerParams(*fused[k:k + 3]) for k in range(0, len(fused), 3)]
+    return LstmStackParams(layers, arrays[-1].astype(np.float64))

@@ -459,6 +459,27 @@ class TestStackStep:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lm.stack_step(params, ids[0], malform(state0))
 
+    @pytest.mark.parametrize("h_dtype, c_dtype", [
+        (np.float64, np.complex128), (np.float64, object), ("<U1", np.float64), (np.complex128, np.float64),
+    ], ids=["complex-c", "object-c", "str-h", "complex-h"])
+    def test_rejects_a_state_that_is_not_real(self, h_dtype, c_dtype):
+        params, ids, _ = schedule_case(4, 8)
+        state = lm.LstmState(np.zeros((3, 4)).astype(h_dtype), np.zeros((3, 4)).astype(c_dtype))
+        h_dtype, c_dtype = np.dtype(h_dtype), np.dtype(c_dtype)
+        message = f"state has h dtype {h_dtype} and c dtype {c_dtype}, expected bool, int or float each"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lm.stack_step(params, ids[0], state)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32, bool])
+    def test_a_real_state_steps_as_its_float64_values(self, dtype):
+        params, ids, state0 = schedule_case(4, 8, random_state0=True)
+        state = lm.LstmState((state0.h > 0).astype(dtype), (state0.c * 3).astype(dtype))
+        probs, new = lm.stack_step(params, ids[0], state)
+        want_probs, want = lm.stack_step(params, ids[0], lm.LstmState(state.h.astype(float), state.c.astype(float)))
+        np.testing.assert_array_equal(probs, want_probs)
+        np.testing.assert_array_equal(new.h, want.h)
+        np.testing.assert_array_equal(new.c, want.c)
+
 
 def test_init_params_shapes_and_bounds():
     params = init_params(hidden=7, vocab=19, seed=1)
@@ -476,6 +497,25 @@ def test_init_params_shapes_and_bounds():
 def test_init_params_rejects_empty_shapes(hidden, vocab, bad):
     with pytest.raises(ValueError, match=f"{bad} must be >= 1"):
         init_params(hidden=hidden, vocab=vocab)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"hidden": 2.5}, "hidden must be an integer, got 2.5"),
+    ({"hidden": True}, "hidden must be an integer, got True"),
+    ({"vocab": np.float64(5)}, f"vocab must be an integer, got {np.float64(5)!r}"),
+    ({"seed": "3"}, "seed must be an integer, got '3'"),
+    ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+], ids=["hidden-float", "hidden-bool", "vocab-numpy-float", "seed-str", "seed-float"])
+def test_init_params_sizes_and_seed_follow_the_integer_rule(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        init_params(**{"hidden": 2, "vocab": 5, **kwargs})
+
+
+def test_init_params_accepts_numpy_integers():
+    params = init_params(hidden=np.int32(2), vocab=np.uint16(5), seed=np.int64(4))
+    want = init_params(hidden=2, vocab=5, seed=4)
+    assert (params.hidden, params.vocab) == (2, 5)
+    np.testing.assert_array_equal(params.V, want.V)
 
 
 def test_zero_state_shapes():

@@ -32,6 +32,19 @@ def write_container(path, arrays, code=0):
     path.write_bytes(b"".join(out))
 
 
+def documented_order(params):
+    """(name, array) pairs in README's order, spelled out apart from ``named_arrays``."""
+    pairs = [(f"layer{l}.{kind}{gate}", getattr(layer, kind + gate))
+             for l, layer in enumerate(params.layers) for kind in "WUb" for gate in "fiog"]
+    return pairs + [("V", params.V)]
+
+
+def seeded_entries(replace=()):
+    """The 37 (name, shape, raw) entries of a seeded h3/V6 model, in order; ``replace``: name -> (shape, raw)."""
+    arrays = documented_order(lm.init_params(hidden=3, vocab=6, seed=1))
+    return [(name.encode(), *dict(replace).get(name, (arr.shape, arr.tobytes()))) for name, arr in arrays]
+
+
 def f32_with_nan_in_layer1_bg(arrays):
     arrays.update({name: arr.astype(np.float32) for name, arr in arrays.items()})
     arrays["layer1.bg"][1] = np.nan
@@ -78,6 +91,18 @@ class TestRoundTrip:
                 got = named_arrays(loaded)
                 for name, arr in named_arrays(params).items():
                     assert got[name].tobytes() == arr.astype(cast).astype(np.float64).tobytes(), (dtype, name)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 6), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_saved_bytes_equal_a_field_by_field_writer(self, hidden, vocab, seed):
+        params = lm.init_params(hidden=hidden, vocab=vocab, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            for dtype, code, cast in (("f64", 0, np.float64), ("f32", 1, np.float32)):
+                saved, written = Path(tmp) / f"saved_{dtype}.drnn", Path(tmp) / f"written_{dtype}.drnn"
+                save_model(params, saved, dtype=dtype)
+                entries = [(n.encode(), a.shape, a.astype(cast).tobytes()) for n, a in documented_order(params)]
+                write_container(written, entries, code)
+                assert saved.read_bytes() == written.read_bytes(), dtype
 
     def test_double_roundtrip_produces_identical_bytes(self, tmp_path):
         params = lm.init_params(hidden=3, vocab=7, seed=5)
@@ -151,15 +176,15 @@ class TestCorruption:
 
     def test_dims_whose_product_overflows_64_bits(self, tmp_path):
         path = tmp_path / "model.drnn"
-        write_container(path, [(b"V", (2**32, 2**32), b"")])
-        with pytest.raises(ModelFormatError, match="truncated"):
+        write_container(path, seeded_entries({"layer0.Wf": ((2**32, 2**32), b"")}))
+        with pytest.raises(ModelFormatError, match="^truncated model file$"):
             load_model(path)
 
     @pytest.mark.parametrize("shape", [(0, 2**62), (2**40, 0, 2**40), (0, 2**64 - 1)])
     def test_zero_size_array_whose_dims_numpy_cannot_hold(self, tmp_path, shape):
         path = tmp_path / "model.drnn"
-        write_container(path, [(b"V", shape, b"")])
-        with pytest.raises(ModelFormatError, match=rf"^array V shape {re.escape(str(shape))} is too large$"):
+        write_container(path, seeded_entries({"layer0.Wf": (shape, b"")}))
+        with pytest.raises(ModelFormatError, match=rf"^array layer0.Wf shape {re.escape(str(shape))} is too large$"):
             load_model(path)
 
     def test_array_name_that_is_not_utf8(self, tmp_path):
@@ -171,15 +196,19 @@ class TestCorruption:
             load_model(path)
 
     def test_well_formed_container_with_two_layers(self, tmp_path):
-        params = lm.init_params(hidden=3, vocab=6, seed=1)
-        arrays = [
-            (name.encode(), arr.shape, arr.tobytes())
-            for name, arr in named_arrays(params).items()
-            if not name.startswith("layer2.")
-        ]
+        arrays = [entry for entry in seeded_entries() if not entry[0].startswith(b"layer2.")]
         path = tmp_path / "model.drnn"
         write_container(path, arrays)
-        with pytest.raises(ModelFormatError, match="missing array layer2"):
+        with pytest.raises(ModelFormatError, match="^array count 25, expected 37$"):
+            load_model(path)
+
+    def test_swapped_gate_arrays(self, tmp_path):
+        # Each array keeps its own name and shape: only the container order is wrong.
+        arrays = seeded_entries()
+        arrays[0], arrays[1] = arrays[1], arrays[0]
+        path = tmp_path / "model.drnn"
+        write_container(path, arrays)
+        with pytest.raises(ModelFormatError, match="^array 0 is 'layer0.Wi', expected 'layer0.Wf'$"):
             load_model(path)
 
     def test_unknown_version(self, tmp_path):
@@ -206,12 +235,8 @@ class TestCorruption:
 
     def test_repeated_array_name(self, tmp_path):
         path = self.make_file(tmp_path)
-        data = bytearray(path.read_bytes())
-        struct.pack_into("<I", data, 8, 38)  # array count: the 37 saved plus a second layer0.Wf
-        name = b"layer0.Wf"
-        data += struct.pack("<H", len(name)) + name + struct.pack("<BBQQ", 0, 2, 3, 3) + np.full(9, 9.0).tobytes()
-        path.write_bytes(bytes(data))
-        with pytest.raises(ModelFormatError, match="^duplicate array layer0.Wf$"):
+        path.write_bytes(path.read_bytes().replace(b"layer0.Wi", b"layer0.Wf", 1))  # a second layer0.Wf
+        with pytest.raises(ModelFormatError, match="^array 1 is 'layer0.Wf', expected 'layer0.Wi'$"):
             load_model(path)
 
     def test_unknown_dtype_code(self, tmp_path):
@@ -223,10 +248,10 @@ class TestCorruption:
             load_model(path)
 
     @pytest.mark.parametrize("edit, match", [
-        (lambda arrays: arrays.pop("V"), "missing output projection array V"),
+        (lambda arrays: arrays.pop("V"), "^array count 36, expected 37$"),
         (lambda arrays: arrays.update(V=arrays["V"].ravel()), "V has rank 1, expected 2"),
         (lambda arrays: arrays.update({"layer0.Uf": arrays["layer0.Uf"].T}), r"array layer0.Uf shape \(6, 3\) != \(3, 6\)"),
-        (lambda arrays: arrays.update(extra=np.zeros(2)), r"unexpected arrays: \['extra'\]"),
+        (lambda arrays: arrays.update(extra=arrays.pop("V")), "^array 36 is 'extra', expected 'V'$"),
         # the four gate blocks still hold 4H rows between them
         (lambda arrays: arrays.update({"layer0.Wf": np.zeros((4, 3)), "layer0.Wi": np.zeros((2, 3))}),
          r"^array layer0.Wf shape \(4, 3\) != \(3, 3\)$"),

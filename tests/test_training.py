@@ -352,6 +352,46 @@ class TestTrain:
                 TrainConfig(learning_rate=learning_rate)
 
 
+def sgd_step_at_rate(learning_rate):
+    params = lm.init_params(hidden=2, vocab=4, seed=0)
+    before = copy.deepcopy(params)
+    _, grads = bptt_gradients(params, TrainingPair([0, 1], [1, 2]))
+    try:
+        sgd_step(params, grads, learning_rate)
+    finally:
+        for name, arr in named_arrays(before).items():
+            assert named_arrays(params)[name].tobytes() == arr.tobytes(), name
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TrainConfig(eval_interval=1.5), "eval_interval must be an integer, got 1.5"),
+    (lambda: TrainConfig(epochs=True), "epochs must be an integer, got True"),
+    (lambda: TrainConfig(epochs=2.5), "epochs must be an integer, got 2.5"),
+    (lambda: TrainConfig(rng_seed=1.5), "rng_seed must be an integer, got 1.5"),
+    (lambda: TrainConfig(learning_rate=True), "learning_rate must be a real number, got True"),
+    (lambda: TrainConfig(learning_rate="0.1"), "learning_rate must be a real number, got '0.1'"),
+    (lambda: TrainConfig(learning_rate=1j), "learning_rate must be a real number, got 1j"),
+    (lambda: sgd_step_at_rate(True), "learning_rate must be a real number, got True"),
+    (lambda: sgd_step_at_rate("0.1"), "learning_rate must be a real number, got '0.1'"),
+    (lambda: sgd_step_at_rate(float("nan")), "learning_rate must be finite and > 0, got nan"),
+], ids=["interval-float", "epochs-bool", "epochs-float", "seed-float", "rate-bool", "rate-str", "rate-complex",
+        "sgd-rate-bool", "sgd-rate-str", "sgd-rate-nan"])
+def test_training_sizes_and_rates_follow_the_integer_and_rate_rules(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_numpy_integer_sizes_train_as_python_ints():
+    pairs, vocab = toy_pairs(n_sentences=3, seed=7)
+    logs = []
+    for epochs, interval, seed in ((2, 2, 7), (np.int64(2), np.uint8(2), np.int32(7))):
+        params = lm.init_params(hidden=3, vocab=vocab.size, seed=7)
+        _, log = train(params, pairs, TrainConfig(learning_rate=0.05, epochs=epochs, eval_interval=interval,
+                                                  rng_seed=seed))
+        logs.append(log.to_csv())
+    assert logs[0] == logs[1]
+
+
 def test_evaluate_rejects_an_empty_pair_list():
     params = lm.init_params(hidden=2, vocab=5, seed=0)
     with pytest.raises(ValueError, match="no evaluation pairs"):
