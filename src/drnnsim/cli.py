@@ -139,11 +139,18 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's generator for ``--seed``, which must be >= 0 (numpy's own error names no flag)."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def cmd_generate(args) -> int:
     params, vocab = _load_model_and_vocab(args)
     if args.max_len < 1:
         raise ValueError("max-len must be >= 1")
-    rng = np.random.default_rng(args.seed)
+    rng = _seeded_rng(args.seed)
     state = lm.zero_state(params)
     token = corpus.start_token_id(vocab.size)
     words = []
@@ -178,13 +185,13 @@ def cmd_accel_bench(args) -> int:
 
 
 def cmd_cosim_verify(args) -> int:
+    rng = _seeded_rng(args.seed)
     golden = cosim.golden_test()
     print(golden)
     print(f"hardware: {golden.hardware}")
     print(f"software: {golden.software}")
 
     config = accel.AcceleratorConfig()
-    rng = np.random.default_rng(args.seed)
     params = lm.init_params(hidden=config.chunk_len, vocab=lm.DEFAULT_VOCAB, seed=args.seed)
     h_prev = rng.uniform(-1.0, 1.0, size=config.chunk_len)
     x_id = int(rng.integers(0, params.vocab))

@@ -10,6 +10,7 @@ Everything here is pure float64 and side-effect free; the fixed-point path lives
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,32 +94,44 @@ for _name in GATE_PARAM_FIELDS:
     setattr(LstmLayerParams, _name, _gate_block(_name[0], GATES.index(_name[1])))
 
 
-@dataclass
-class LstmStackParams:
-    """Three stacked LSTM layers plus the output projection V, which gives the sizes."""
+def stack_shapes(hidden: int, vocab: int) -> list[tuple[int, ...]]:
+    """The one parameter layout, of ``LstmStackParams.flat`` and the model file: fused W, U, b per layer, then V."""
+    rows, inputs = 4 * hidden, [vocab] + [hidden] * (N_LAYERS - 1)  # each layer's 4H gate rows and input width
+    return [shape for n_in in inputs for shape in ((rows, hidden), (rows, n_in), (rows,))] + [(vocab, hidden)]
 
-    layers: list[LstmLayerParams]
-    V: np.ndarray  # vocab x hidden
+
+def split_views(buffer: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of the 1-D ``buffer``, one per shape, in order (Python-int offsets: cheap)."""
+    bounds = list(itertools.accumulate((math.prod(shape) for shape in shapes), initial=0))
+    return [buffer[start:stop].reshape(shape) for shape, start, stop in zip(shapes, bounds, bounds[1:])]
+
+
+def stack_parts(arrays) -> tuple[list[LstmLayerParams], np.ndarray]:
+    """The ``(layers, V)`` of a ``stack_shapes``-ordered array list."""
+    return [LstmLayerParams(*arrays[k:k + 3]) for k in range(0, 3 * N_LAYERS, 3)], arrays[-1]
+
+
+@dataclass(frozen=True)
+class LstmStackParams:
+    """Three LSTM layers and the output projection V (vocab x hidden), all views of one float64 buffer.
+
+    ``flat`` holds them in ``stack_shapes`` order; ``copy.deepcopy`` copies it and builds the views again.
+    """
+
+    flat: np.ndarray
+    hidden: int
+    vocab: int
 
     def __post_init__(self):
-        if len(self.layers) != N_LAYERS:
-            raise ValueError(f"expected {N_LAYERS} layers, got {len(self.layers)}")
-        if self.V.ndim != 2:
-            raise ValueError(f"V has rank {self.V.ndim}, expected 2")
-        for l, layer in enumerate(self.layers):
-            want_in = self.vocab if l == 0 else self.hidden
-            if layer.hidden != self.hidden or layer.input_dim != want_in:
-                raise ValueError(
-                    f"layer {l} dims ({layer.hidden}, {layer.input_dim}) != ({self.hidden}, {want_in})"
-                )
+        shapes = stack_shapes(self.hidden, self.vocab)
+        size = sum(math.prod(shape) for shape in shapes)
+        if self.flat.dtype != np.float64 or self.flat.shape != (size,):
+            raise ValueError(f"flat must be float64 of shape ({size},), got {self.flat.dtype} {self.flat.shape}")
+        layers, V = stack_parts(split_views(self.flat, shapes))
+        vars(self).update(layers=layers, V=V)  # set once, past the frozen __setattr__
 
-    @property
-    def hidden(self) -> int:
-        return self.V.shape[1]
-
-    @property
-    def vocab(self) -> int:
-        return self.V.shape[0]
+    def __reduce__(self):
+        return type(self), (self.flat, self.hidden, self.vocab)
 
 
 @dataclass
@@ -263,7 +276,7 @@ def stack_step(params: LstmStackParams, x_id: int, state: LstmState):
     """Advance the stack by one token; returns (output distribution, new state), ``state`` untouched.
 
     ``state.h`` and ``state.c`` must each have shape (N_LAYERS, H) and a
-    bool, int or float dtype, else ValueError.
+    bool, int or float dtype, else ValueError; they are read as float64.
     """
     _check_token_id(x_id, params.vocab)
     want, h_rows, c_rows = (N_LAYERS, params.hidden), np.asarray(state.h), np.asarray(state.c)
@@ -273,6 +286,8 @@ def stack_step(params: LstmStackParams, x_id: int, state: LstmState):
         raise ValueError(
             f"state has h dtype {h_rows.dtype} and c dtype {c_rows.dtype}, expected bool, int or float each"
         )
+    # One read as float64 for every accepted dtype (an extended float included); a float64 state is not copied.
+    h_rows, c_rows = h_rows.astype(np.float64, copy=False), c_rows.astype(np.float64, copy=False)
     new, act, x_term = zero_state(params), np.empty(4 * params.hidden), np.empty(4 * params.hidden)
     x = x_id
     for l, (layer, h_prev, c_prev, h, c) in enumerate(zip(params.layers, h_rows, c_rows, new.h, new.c)):
@@ -283,24 +298,25 @@ def stack_step(params: LstmStackParams, x_id: int, state: LstmState):
 
 def init_params(hidden: int = DEFAULT_HIDDEN, vocab: int = DEFAULT_VOCAB, seed: int = 0) -> LstmStackParams:
     """Seeded initialization: each matrix uniform in +-1/sqrt(fan_in), biases zero."""
-    for name, value in (("hidden", hidden), ("vocab", vocab), ("seed", seed)):
+    for name, value, least in (("hidden", hidden, 1), ("vocab", vocab, 1), ("seed", seed, 0)):
         if not _is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-    for name, size in (("hidden", hidden), ("vocab", vocab)):
-        if size < 1:
-            raise ValueError(f"{name} must be >= 1, got {size}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     rng = np.random.default_rng(seed)
-
-    def mat(rows: int, cols: int) -> np.ndarray:
-        bound = 1.0 / math.sqrt(cols)
-        return rng.uniform(-bound, bound, size=(rows, cols))
-
-    # One draw per fused array fills its gate blocks in order f, i, o, g.
-    layers = [
-        LstmLayerParams(W=mat(4 * hidden, hidden), U=mat(4 * hidden, n_in), b=np.zeros(4 * hidden))
-        for n_in in [vocab] + [hidden] * (N_LAYERS - 1)
-    ]
-    return LstmStackParams(layers=layers, V=mat(vocab, hidden))
+    shapes = stack_shapes(hidden, vocab)
+    flat = np.empty(sum(math.prod(shape) for shape in shapes))  # not np.zeros: calloc on reused memory zeroes it all
+    # Each weight matrix is one draw, in layout order (a fused array's gate blocks f, i, o, g in turn):
+    # rng.uniform(-bound, bound) bit for bit, drawn into the buffer without a temporary.
+    for arr in split_views(flat, shapes):
+        if arr.ndim == 1:  # a bias
+            arr.fill(0.0)
+        else:
+            bound = 1.0 / math.sqrt(arr.shape[1])
+            rng.random(out=arr)
+            arr *= 2 * bound
+            arr -= bound
+    return LstmStackParams(flat, hidden, vocab)
 
 
 def _is_int(value) -> bool:

@@ -21,8 +21,11 @@ from .lm import (
     _check_token_id,
     _is_int,
     _layer_backward,
+    split_views,
     stack_forward,
     stack_forward_trace,
+    stack_parts,
+    stack_shapes,
 )
 
 # Probability floor inside the loss so a zero-probability target cannot
@@ -79,15 +82,13 @@ def score_sentence(params: LstmStackParams, sentence) -> float:
 
 @dataclass
 class Gradients:
-    """Loss gradients, one array per parameter array.
+    """Loss gradients, one array per parameter array, each a view of ``dense`` in its parameter's shape but one.
 
-    Every array has its parameter's shape except layer 0's input gradient,
-    which is column-sparse: ``layers[0].U`` is 4H x k and its column j is
-    the gradient of ``params.layers[0].U[:, input_ids[j]]``. ``input_ids``
-    holds the k distinct input tokens of the sentence, sorted; every other
-    column of the dense gradient is zero.
-    """
+    ``dense`` is laid out like ``LstmStackParams.flat`` without layer 0's ``U``, whose gradient is column-sparse:
+    ``layers[0].U`` is 4H x k, its column j the gradient of ``params.layers[0].U[:, input_ids[j]]`` for the
+    sentence's k distinct input tokens ``input_ids``, sorted; every other column of it is zero."""
 
+    dense: np.ndarray
     layers: list[LstmLayerParams]
     V: np.ndarray
     input_ids: np.ndarray
@@ -107,41 +108,37 @@ def named_arrays(obj: LstmStackParams | Gradients) -> dict[str, np.ndarray]:
 def bptt_gradients(params: LstmStackParams, pair: TrainingPair):
     """Exact loss gradients by backpropagation through time.
 
-    Runs the stack forward over ``pair.input``, then walks the layers from
-    the top down, each one backwards through time. Every weight gradient is
-    one product of arrays stacked over the sequence. Returns (loss,
-    Gradients).
+    Runs the stack forward over ``pair.input``, then walks the layers from the top down, each one
+    backwards through time. Every weight gradient is one product of arrays stacked over the sequence,
+    written into its view of ``Gradients.dense``. Returns (loss, Gradients).
     """
     outputs, traces = stack_forward_trace(params, pair.input)
     loss = sequence_loss(outputs, pair.label)
+    shapes = stack_shapes(params.hidden, params.vocab)
+    shapes[1] = (4 * params.hidden, 0)  # layer 0's U: its gradient is column-sparse, held outside the buffer
+    dense = np.empty(sum(math.prod(shape) for shape in shapes))
+    grad_layers, grad_V = stack_parts(split_views(dense, shapes))
 
     # Softmax + cross-entropy collapse to (p - onehot) at the logits.
     dz_out = np.array(outputs)
     dz_out[np.arange(len(pair.label)), pair.label] -= 1.0
-    grad_V = dz_out.T @ traces[-1].h[1:]
+    np.matmul(dz_out.T, traces[-1].h[1:], out=grad_V)
     dh_in = dz_out @ params.V
-
-    grad_layers = []
-    for l in reversed(range(len(params.layers))):
-        layer, tr = params.layers[l], traces[l]
+    for l in reversed(range(N_LAYERS)):
+        layer, tr, grad = params.layers[l], traces[l], grad_layers[l]
         dZ = _layer_backward(layer, tr, dh_in)
-        if l == 0:
-            # One-hot input: only the tokens' columns receive gradient. Each
-            # column sums its dZ rows in sentence order, starting from 0.0.
-            input_ids = np.array(sorted(set(pair.input)))  # np.unique's result, at a third of its cost
-            grad_U = np.zeros((len(input_ids), dZ.shape[1]))
-            np.add.at(grad_U, np.searchsorted(input_ids, pair.input), dZ)
-            grad_U = grad_U.T
-        else:
-            grad_U = dZ.T @ traces[l - 1].h[1:]
+        np.matmul(dZ.T, tr.h[:-1], out=grad.W)
+        dZ.sum(axis=0, out=grad.b)
+        if l:
+            np.matmul(dZ.T, traces[l - 1].h[1:], out=grad.U)
             dh_in = dZ @ layer.U
-        grad_layers.append(LstmLayerParams(dZ.T @ tr.h[:-1], grad_U, dZ.sum(axis=0)))
-    return loss, Gradients(layers=grad_layers[::-1], V=grad_V, input_ids=input_ids)
-
-
-def _fused_arrays(obj: LstmStackParams | Gradients) -> list[np.ndarray]:
-    """The fused arrays W, U, b of each layer, then V."""
-    return [arr for layer in obj.layers for arr in (layer.W, layer.U, layer.b)] + [obj.V]
+    # One-hot input: only the tokens' columns receive gradient. Each column
+    # sums its dZ rows in sentence order, starting from 0.0.
+    input_ids = np.array(sorted(set(pair.input)))  # np.unique's result, at a third of its cost
+    grad_U0 = np.zeros((len(input_ids), dZ.shape[1]))
+    np.add.at(grad_U0, np.searchsorted(input_ids, pair.input), dZ)
+    grad_layers[0].U = grad_U0.T
+    return loss, Gradients(dense, grad_layers, grad_V, input_ids)
 
 
 def _check_learning_rate(learning_rate) -> None:
@@ -153,23 +150,20 @@ def _check_learning_rate(learning_rate) -> None:
 
 
 def sgd_step(params: LstmStackParams, grads: Gradients, learning_rate: float) -> LstmStackParams:
-    """In-place SGD update of every parameter array.
+    """In-place SGD update of the parameter buffer.
 
-    All gradients are checked before anything is touched, so a divergence
-    error leaves the parameters unmodified. Layer 0's input gradient only
-    reaches the columns named by ``grads.input_ids``; the columns it skips
-    would have been updated by zero, which leaves a finite value unchanged.
+    Both gradient buffers are checked before anything is touched, so a divergence error leaves the
+    parameters unmodified. Layer 0's input gradient only reaches the columns named by ``grads.input_ids``;
+    the columns it skips would have been updated by zero, which leaves a finite value unchanged.
     """
     _check_learning_rate(learning_rate)
-    grad_arrays = _fused_arrays(grads)
-    for g in grad_arrays:
-        if not np.isfinite(g).all():
-            raise DivergenceError("diverged: non-finite gradient")
-    for p, g in zip(_fused_arrays(params), grad_arrays):
-        if p is params.layers[0].U:
-            p[:, grads.input_ids] -= np.multiply(g, learning_rate)
-        else:
-            p -= np.multiply(g, learning_rate)
+    if not (np.isfinite(grads.dense).all() and np.isfinite(grads.layers[0].U).all()):
+        raise DivergenceError("diverged: non-finite gradient")
+    step, U0 = np.multiply(grads.dense, learning_rate), params.layers[0].U
+    split = params.layers[0].W.size  # layer 0's U follows its W in the layout
+    params.flat[:split] -= step[:split]
+    params.flat[split + U0.size:] -= step[split:]
+    U0[:, grads.input_ids] -= np.multiply(grads.layers[0].U, learning_rate)
     return params
 
 
@@ -186,12 +180,12 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_learning_rate(self.learning_rate)
-        for name in ("epochs", "eval_interval", "rng_seed"):
+        for name, least in (("epochs", 1), ("eval_interval", 1), ("rng_seed", 0)):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1 and name != "rng_seed":
-                raise ValueError(f"{name} must be >= 1")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -318,10 +312,8 @@ def save_model(params: LstmStackParams, path, dtype: str = "f64") -> None:
 def load_model(path) -> LstmStackParams:
     """Read a container of the ``ARRAY_NAMES`` arrays, in that order, back into float64 parameters.
 
-    Every malformed file raises ModelFormatError. Headers, shapes (against
-    V's topology) and finiteness are checked on views of the file's bytes
-    before any parameter array is allocated; each fused array is then one
-    concatenation of its four consecutive gate blocks.
+    Every malformed file raises ModelFormatError. Headers, shapes (against V's topology) and finiteness are
+    checked on views of the file's bytes; the buffer is then one concatenation of them in file order, its layout.
     """
     data = memoryview(Path(path).read_bytes())  # slices share the file's bytes, no copy
     offset = 0
@@ -369,18 +361,13 @@ def load_model(path) -> LstmStackParams:
     for name, size in (("hidden", hidden), ("vocab", vocab)):
         if size < 1:
             raise ModelFormatError(f"{name} must be >= 1, got {size}")
-    expected = []  # each array's shape, in container order, which the checks below follow
-    for n_in in [vocab] + [hidden] * (N_LAYERS - 1):  # each layer's input width
-        shapes = {"W": (hidden, hidden), "U": (hidden, n_in), "b": (hidden,)}
-        expected += [shapes[name[0]] for name in GATE_PARAM_FIELDS]
-    for name, arr, want in zip(ARRAY_NAMES, arrays, expected + [(vocab, hidden)]):
+    # Each fused array of the layout (V's shape is the file's) is four consecutive gate blocks f, i, o, g.
+    expected = [(rows // 4, *cols) for rows, *cols in stack_shapes(hidden, vocab)[:-1] for _ in range(4)]
+    for name, arr, want in zip(ARRAY_NAMES, arrays, expected):
         if arr.shape != want:
             raise ModelFormatError(f"array {name} shape {arr.shape} != {want}")
+    # On the file's views, not the float64 buffer: an f32 file's views are half the bytes.
     for name, arr in zip(ARRAY_NAMES, arrays):
         if not np.all(np.isfinite(arr)):
             raise ModelFormatError(f"non-finite values in array {name}")
-
-    # Each fused array is four consecutive gate blocks (f, i, o, g), and each layer's three are W, U, b.
-    fused = [np.concatenate(arrays[k:k + 4], dtype=np.float64) for k in range(0, len(arrays) - 1, 4)]
-    layers = [LstmLayerParams(*fused[k:k + 3]) for k in range(0, len(fused), 3)]
-    return LstmStackParams(layers, arrays[-1].astype(np.float64))
+    return LstmStackParams(np.concatenate(arrays, axis=None, dtype=np.float64), hidden, vocab)

@@ -5,7 +5,7 @@ import numpy as np
 
 from drnnsim import lm
 from drnnsim.corpus import TrainingPair
-from drnnsim.lm import LstmLayerParams
+from drnnsim.lm import GATES
 from drnnsim.training import Gradients, named_arrays
 
 
@@ -18,9 +18,10 @@ def dense_input_gradient(grads: Gradients, vocab: int) -> np.ndarray:
 
 def dense_named_gradients(grads: Gradients, vocab: int) -> dict[str, np.ndarray]:
     """``named_arrays`` of the gradients, with every array in its parameter's shape."""
-    layer0 = grads.layers[0]
-    dense0 = LstmLayerParams(layer0.W, dense_input_gradient(grads, vocab), layer0.b)
-    return named_arrays(Gradients([dense0, *grads.layers[1:]], grads.V, np.arange(vocab)))
+    named = named_arrays(grads)
+    blocks = np.split(dense_input_gradient(grads, vocab), len(GATES))
+    named.update({f"layer0.U{gate}": block for gate, block in zip(GATES, blocks)})
+    return named
 
 
 def saturated_params():

@@ -76,10 +76,12 @@ def ref_stack_step(params, x_id, state):
 
 
 def ref_sgd_step(params, grads, learning_rate):
-    for g in training._fused_arrays(grads):
+    pairs = [(getattr(lp, name), getattr(lg, name)) for lp, lg in zip(params.layers, grads.layers) for name in "WUb"]
+    pairs.append((params.V, grads.V))
+    for _, g in pairs:
         if not np.all(np.isfinite(g)):
             raise training.DivergenceError("diverged: non-finite gradient")
-    for p, g in zip(training._fused_arrays(params), training._fused_arrays(grads)):
+    for p, g in pairs:
         if p is params.layers[0].U:
             p[:, grads.input_ids] -= learning_rate * g
         else:

@@ -97,14 +97,14 @@ class TestTrain:
         assert not model_out.exists()
 
     def test_width_too_large_to_allocate_is_a_one_line_data_error(self, tmp_path, corpus_file, capsys):
-        # The first draw is 4e7 x 1e7 float64s, 2.84 PiB, beyond the 128 TiB x86-64
+        # The parameter buffer is about 2e15 float64s, 14.2 PiB, beyond the 128 TiB x86-64
         # user address space: the allocation fails before any memory is touched.
         _, vocab_out, tokens_out = run_prep(tmp_path, corpus_file)
         capsys.readouterr()
         code, model_out, _ = run_train(tmp_path, vocab_out, tokens_out, **{"--hidden": 10**7})
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate 2.84 PiB") and err.count("\n") == 1
+        assert err.startswith("error: Unable to allocate 14.2 PiB") and err.count("\n") == 1
         assert not model_out.exists()
 
     def test_divergence_exits_3(self, tmp_path, corpus_file, capsys, monkeypatch):
@@ -320,6 +320,32 @@ class TestCosimVerify:
 
     def test_bad_format_flag_is_a_usage_error(self):
         assert main(["cosim-verify", "--fmt", "nonsense"]) == 1
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("init_params", "seed must be >= 0, got -1"),
+    ("TrainConfig", "rng_seed must be >= 0, got -1"),
+    ("train", "rng_seed must be >= 0, got -1"),
+    ("generate", "seed must be >= 0, got -1"),
+    ("cosim-verify", "seed must be >= 0, got -1"),
+])
+def test_a_negative_seed_names_its_field(entry, message, tmp_path, corpus_file, capsys):
+    _, vocab_out, tokens_out = run_prep(tmp_path, corpus_file)
+    model = tmp_path / "model.drnn"
+    training.save_model(lm.init_params(hidden=3, vocab=corpus.load_vocab(vocab_out).size), model)
+    capsys.readouterr()
+    commands = {
+        "train": ["train", str(tokens_out), "--vocab", str(vocab_out), "--model-out", str(tmp_path / "out.drnn")],
+        "generate": ["generate", str(model), "--vocab", str(vocab_out)],
+        "cosim-verify": ["cosim-verify"],
+    }
+    if entry in commands:
+        assert main([*commands[entry], "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    else:
+        calls = {"init_params": lambda: lm.init_params(seed=-1), "TrainConfig": lambda: training.TrainConfig(rng_seed=-1)}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            calls[entry]()
 
 
 class TestUsageErrors:

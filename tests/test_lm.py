@@ -1,6 +1,7 @@
 """Forward-path tests: activations, LSTM cell, and the 3-layer
 stack, checked against independent scalar (pure Python) oracles."""
 
+import copy
 import dataclasses
 import math
 import re
@@ -189,31 +190,52 @@ class TestLstmCell:
 # 3-layer stack
 # ---------------------------------------------------------------------------
 
-class TestStackParams:
-    def test_fields_are_the_arrays_and_sizes_come_from_V(self):
-        params = init_params(hidden=4, vocab=9, seed=0)
-        assert [f.name for f in dataclasses.fields(params)] == ["layers", "V"]
-        assert (params.hidden, params.vocab) == (4, 9)
-        with pytest.raises(AttributeError):
-            params.hidden = 5
+def zero_params(hidden, vocab):
+    return lm.LstmStackParams(np.zeros(sum(math.prod(s) for s in lm.stack_shapes(hidden, vocab))), hidden, vocab)
 
-    @pytest.mark.parametrize("layers, V, match", [
-        (lambda: [zero_layer(3, 5), zero_layer(3, 3)], np.zeros((5, 3)), "expected 3 layers, got 2"),
-        (lambda: [zero_layer(3, 5), zero_layer(3, 3), zero_layer(3, 3)], np.zeros(15), "V has rank 1, expected 2"),
-        (lambda: [zero_layer(3, 5), zero_layer(3, 3), zero_layer(3, 3)], np.zeros((5, 2)),
-         r"layer 0 dims \(3, 5\) != \(2, 5\)"),
-        (lambda: [zero_layer(3, 5), zero_layer(3, 4), zero_layer(3, 3)], np.zeros((5, 3)),
-         r"layer 1 dims \(3, 4\) != \(3, 3\)"),
-    ], ids=["layer-count", "V-rank", "V-width", "layer-input"])
-    def test_constructor_rejects_mismatched_parts(self, layers, V, match):
-        with pytest.raises(ValueError, match=match):
-            lm.LstmStackParams(layers=layers(), V=V)
+
+class TestStackParams:
+    def test_fields_are_the_buffer_and_its_sizes(self):
+        params = init_params(hidden=4, vocab=9, seed=0)
+        assert [f.name for f in dataclasses.fields(params)] == ["flat", "hidden", "vocab"]
+        # 4H rows of W (H wide) x 3, U (V wide on layer 0, H above) and b, then V x H
+        assert params.flat.dtype == np.float64 and params.flat.shape == (4 * 4 * (3 * 4 + 9 + 2 * 4 + 3) + 9 * 4,)
+        assert (params.hidden, params.vocab) == (4, 9)
+        for name in ("hidden", "flat", "layers", "V"):
+            with pytest.raises(AttributeError):
+                setattr(params, name, None)
+
+    def test_arrays_are_views_of_the_buffer_in_layout_order(self):
+        params = init_params(hidden=3, vocab=5, seed=1)
+        fused = [arr for layer in params.layers for arr in (layer.W, layer.U, layer.b)] + [params.V]
+        assert [arr.shape for arr in fused] == lm.stack_shapes(3, 5)
+        np.testing.assert_array_equal(np.concatenate([arr.ravel() for arr in fused]), params.flat)
+        params.flat[:] = 0.5
+        assert all(np.all(arr == 0.5) for arr in fused)
+
+    def test_deepcopy_views_its_own_buffer(self):
+        params = init_params(hidden=3, vocab=5, seed=1)
+        clone = copy.deepcopy(params)
+        np.testing.assert_array_equal(clone.flat, params.flat)
+        fused = [arr for layer in clone.layers for arr in (layer.W, layer.U, layer.b)] + [clone.V]
+        for arr in fused:
+            assert np.shares_memory(arr, clone.flat) and not np.shares_memory(arr, params.flat)
+
+    @pytest.mark.parametrize("flat", [
+        lambda size: np.zeros(size, dtype=np.float32),
+        lambda size: np.zeros(size - 1),
+        lambda size: np.zeros(size + 1),
+        lambda size: np.zeros((1, size)),
+    ], ids=["dtype", "short", "long", "rank"])
+    def test_constructor_rejects_a_buffer_of_the_wrong_dtype_or_size(self, flat):
+        size = zero_params(3, 5).flat.size
+        with pytest.raises(ValueError, match=rf"flat must be float64 of shape \({size},\), got "):
+            lm.LstmStackParams(flat(size), 3, 5)
 
 
 class TestStackForward:
     def test_zero_params_give_uniform_outputs(self):
-        layers = [zero_layer(3, 5), zero_layer(3, 3), zero_layer(3, 3)]
-        params = lm.LstmStackParams(layers=layers, V=np.zeros((5, 3)))
+        params = zero_params(3, 5)
         outputs, _ = stack_forward(params, [0, 4, 2])
         for out in outputs:
             np.testing.assert_allclose(out, np.full(5, 0.2), atol=1e-15)
@@ -470,7 +492,7 @@ class TestStackStep:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lm.stack_step(params, ids[0], state)
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32, bool])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32, bool, np.longdouble])
     def test_a_real_state_steps_as_its_float64_values(self, dtype):
         params, ids, state0 = schedule_case(4, 8, random_state0=True)
         state = lm.LstmState((state0.h > 0).astype(dtype), (state0.c * 3).astype(dtype))

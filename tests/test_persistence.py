@@ -125,12 +125,12 @@ class TestRoundTrip:
         path = tmp_path / "model.drnn"
         save_model(lm.init_params(hidden=3, vocab=7, seed=4), path, dtype=dtype)
         loaded = load_model(path)
+        assert loaded.flat.dtype == np.float64 and loaded.flat.base is None
+        assert loaded.flat.flags.c_contiguous and loaded.flat.flags.writeable
         fused = [arr for layer in loaded.layers for arr in (layer.W, layer.U, layer.b)] + [loaded.V]
         assert len(fused) == 10
         for arr in fused:
-            assert arr.dtype == np.float64
-            assert arr.flags.c_contiguous and arr.flags.writeable
-            assert arr.base is None
+            assert arr.base is loaded.flat and arr.flags.c_contiguous and arr.flags.writeable
 
     def test_training_a_loaded_model_equals_training_the_original(self, tmp_path):
         params = lm.init_params(hidden=4, vocab=9, seed=3)

@@ -3,6 +3,7 @@
 import copy
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -76,11 +77,7 @@ class TestSequenceLoss:
 
 class TestScoreSentence:
     def test_uniform_single_token(self):
-        layers = [
-            lm.LstmLayerParams(W=np.zeros((8, 2)), U=np.zeros((8, input_dim)), b=np.zeros(8))
-            for input_dim in (5, 2, 2)
-        ]
-        params = lm.LstmStackParams(layers=layers, V=np.zeros((5, 2)))
+        params = lm.LstmStackParams(np.zeros(lm.init_params(hidden=2, vocab=5).flat.size), hidden=2, vocab=5)
         assert score_sentence(params, [1]) == pytest.approx(math.log(1 / 5), abs=1e-12)
 
     def test_equals_negative_sequence_loss(self):
@@ -131,7 +128,7 @@ def dense_reference_step(params, pair, learning_rate):
             grad_U = dZ.T @ traces[l - 1].h[1:]
             dh_in = dZ @ layer.U
         grad_layers.append(lm.LstmLayerParams(dZ.T @ tr.h[:-1], grad_U, dZ.sum(axis=0)))
-    grads = training.Gradients(grad_layers[::-1], grad_V, np.arange(params.vocab))
+    grads = types.SimpleNamespace(layers=grad_layers[::-1], V=grad_V)  # all that named_arrays reads
     for p, g in zip(named_arrays(params).values(), named_arrays(grads).values()):
         p -= learning_rate * g
 
@@ -217,19 +214,22 @@ class TestSgdStep:
         assert loss_after < loss_before
 
     @pytest.mark.parametrize(
-        "array, bad",
+        "array, index, bad",
         [
-            (lambda g: g.layers[1].W, np.nan),
-            (lambda g: g.layers[0].U, np.nan),  # the compact 4H x k input gradient
-            (lambda g: g.V, np.inf),
+            (lambda g: g.layers[0].W, 0, np.nan),  # the dense buffer's first entry
+            (lambda g: g.layers[0].W, -1, np.inf),  # its last entry before layer 0's U in the parameters
+            (lambda g: g.layers[1].W, -1, np.nan),
+            (lambda g: g.layers[0].U, -1, np.nan),  # the compact 4H x k input gradient
+            (lambda g: g.layers[2].b, -1, np.nan),
+            (lambda g: g.V, -1, np.inf),  # the dense buffer's last entry
         ],
-        ids=["layer1.W", "layer0.U", "V"],
+        ids=["layer0.W-first", "layer0.W-last", "layer1.W", "layer0.U", "layer2.b", "V"],
     )
-    def test_non_finite_gradient_raises(self, array, bad):
+    def test_non_finite_gradient_raises(self, array, index, bad):
         params = lm.init_params(hidden=2, vocab=4, seed=0)
         before = param_bytes(params)
         _, grads = bptt_gradients(params, TrainingPair(input=[1, 3, 1], label=[3, 1, 2]))
-        array(grads)[-1, -1] = bad
+        array(grads).flat[index] = bad
         with pytest.raises(DivergenceError, match="diverged"):
             sgd_step(params, grads, learning_rate=0.1)
         # failed update must not touch anything
@@ -272,6 +272,17 @@ class TestTrain:
         for name, arr in named_arrays(trained).items():
             np.testing.assert_array_equal(arr, named_arrays(manual)[name])
         assert len(log.epoch_records()) == 1
+
+    def test_training_a_deep_copy_equals_training_the_original(self):
+        # perfbench's train checkpoint trains a deep copy of the session model as its reference:
+        # the copy's layer views must read the buffer that its SGD steps write.
+        pairs, vocab = toy_pairs(n_sentences=6, seed=4)
+        config = TrainConfig(learning_rate=0.05, epochs=1, rng_seed=4)
+        original = lm.init_params(hidden=4, vocab=vocab.size, seed=4)
+        clone = copy.deepcopy(original)
+        train(original, pairs, config)
+        train(clone, pairs, config)
+        assert param_bytes(clone) == param_bytes(original)
 
     def test_loss_decreases_on_toy_corpus(self):
         pairs, vocab = toy_pairs(n_sentences=10, seed=1)
