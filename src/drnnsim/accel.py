@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lm import _is_int
+from .lm import _check_positive_real, _is_int
 
 # ---------------------------------------------------------------------------
 # Q(m,n) fixed-point formats
@@ -191,8 +191,7 @@ class AcceleratorConfig:
         _check_int_fields(self, "num_pes", "lanes_per_pe", "chunk_len")
         if self.num_pes < 1 or self.lanes_per_pe < 1 or self.chunk_len < 1:
             raise ValueError("num_pes, lanes_per_pe, chunk_len must be >= 1")
-        if not (math.isfinite(self.clock_mhz) and self.clock_mhz > 0):
-            raise ValueError(f"clock_mhz must be finite and > 0, got {self.clock_mhz}")
+        _check_positive_real(self.clock_mhz, "clock_mhz")
         # Every config that constructs has a finite report, computed here once.
         try:
             report = self.report

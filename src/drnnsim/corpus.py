@@ -124,8 +124,9 @@ def pairs_from_encoded(encoded_sentences: list[list[int]], vocab_size: int) -> l
 
 
 def make_training_pairs(sentences: list[list[str]], vocab: Vocabulary) -> list[TrainingPair]:
-    """Encode each sentence and build its shifted input/label pair."""
-    encoded = [[vocab.encode(w) for w in sentence] for sentence in sentences]
+    """Encode each sentence (as ``Vocabulary.encode`` does) and build its shifted input/label pair."""
+    index_of, unknown = vocab.index_of.get, unknown_token_id(vocab.size)  # bound once, not per word
+    encoded = [[index_of(w, unknown) for w in sentence] for sentence in sentences]
     return pairs_from_encoded(encoded, vocab.size)
 
 

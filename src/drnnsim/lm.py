@@ -10,9 +10,13 @@ Everything here is pure float64 and side-effect free; the fixed-point path lives
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,15 +99,37 @@ for _name in GATE_PARAM_FIELDS:
 
 
 def stack_shapes(hidden: int, vocab: int) -> list[tuple[int, ...]]:
-    """The one parameter layout, of ``LstmStackParams.flat`` and the model file: fused W, U, b per layer, then V."""
+    """The parameter layout's shapes, a fresh list: fused W, U, b per layer, then V (``param_layout`` adds offsets)."""
     rows, inputs = 4 * hidden, [vocab] + [hidden] * (N_LAYERS - 1)  # each layer's 4H gate rows and input width
     return [shape for n_in in inputs for shape in ((rows, hidden), (rows, n_in), (rows,))] + [(vocab, hidden)]
 
 
-def split_views(buffer: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of the 1-D ``buffer``, one per shape, in order (Python-int offsets: cheap)."""
-    bounds = list(itertools.accumulate((math.prod(shape) for shape in shapes), initial=0))
-    return [buffer[start:stop].reshape(shape) for shape, start, stop in zip(shapes, bounds, bounds[1:])]
+class ParamLayout(NamedTuple):
+    """Where each array of a parameter buffer lies, as ``(shape, start, stop)`` triples of Python ints."""
+
+    arrays: tuple  # the ``stack_shapes`` arrays: fused W, U, b per layer, then V
+    blocks: tuple  # the model file's arrays: each fused array's four gate blocks (consecutive rows), then V
+    size: int
+
+
+def _table(shapes) -> tuple:  # ((shape, start, stop), ...) of consecutive arrays from offset 0
+    bounds = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+    return tuple(zip(shapes, bounds, bounds[1:]))
+
+
+@functools.lru_cache(maxsize=64, typed=True)  # bounded: a long-lived process may load files of many shapes
+def param_layout(hidden: int, vocab: int, u0_cols: int) -> ParamLayout:
+    """The one layout table, computed once per shape, of a buffer whose layer-0 U is ``u0_cols`` wide (0: gradients)."""
+    hidden, vocab, u0_cols = map(operator.index, (hidden, vocab, u0_cols))  # numpy integers become Python ints
+    shapes = stack_shapes(hidden, vocab)
+    shapes[1] = (4 * hidden, u0_cols)
+    blocks = [(rows // 4, *cols) for rows, *cols in shapes[:-1] for _ in GATES] + shapes[-1:]
+    return ParamLayout(_table(shapes), _table(blocks), sum(map(math.prod, shapes)))
+
+
+def split_views(buffer: np.ndarray, table) -> list[np.ndarray]:
+    """The views of the 1-D ``buffer`` that a ``ParamLayout`` table names, in order."""
+    return [buffer[start:stop].reshape(shape) for shape, start, stop in table]
 
 
 def stack_parts(arrays) -> tuple[list[LstmLayerParams], np.ndarray]:
@@ -123,11 +149,10 @@ class LstmStackParams:
     vocab: int
 
     def __post_init__(self):
-        shapes = stack_shapes(self.hidden, self.vocab)
-        size = sum(math.prod(shape) for shape in shapes)
+        arrays, _, size = param_layout(self.hidden, self.vocab, self.vocab)
         if self.flat.dtype != np.float64 or self.flat.shape != (size,):
             raise ValueError(f"flat must be float64 of shape ({size},), got {self.flat.dtype} {self.flat.shape}")
-        layers, V = stack_parts(split_views(self.flat, shapes))
+        layers, V = stack_parts(split_views(self.flat, arrays))
         vars(self).update(layers=layers, V=V)  # set once, past the frozen __setattr__
 
     def __reduce__(self):
@@ -304,11 +329,11 @@ def init_params(hidden: int = DEFAULT_HIDDEN, vocab: int = DEFAULT_VOCAB, seed: 
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
     rng = np.random.default_rng(seed)
-    shapes = stack_shapes(hidden, vocab)
-    flat = np.empty(sum(math.prod(shape) for shape in shapes))  # not np.zeros: calloc on reused memory zeroes it all
+    # not np.zeros: calloc on reused memory zeroes it all
+    params = LstmStackParams(np.empty(param_layout(hidden, vocab, vocab).size), hidden, vocab)
     # Each weight matrix is one draw, in layout order (a fused array's gate blocks f, i, o, g in turn):
     # rng.uniform(-bound, bound) bit for bit, drawn into the buffer without a temporary.
-    for arr in split_views(flat, shapes):
+    for arr in [arr for layer in params.layers for arr in (layer.W, layer.U, layer.b)] + [params.V]:
         if arr.ndim == 1:  # a bias
             arr.fill(0.0)
         else:
@@ -316,12 +341,20 @@ def init_params(hidden: int = DEFAULT_HIDDEN, vocab: int = DEFAULT_VOCAB, seed: 
             rng.random(out=arr)
             arr *= 2 * bound
             arr -= bound
-    return LstmStackParams(flat, hidden, vocab)
+    return params
 
 
 def _is_int(value) -> bool:
     """The one integer rule: an ``int`` (not a bool) or numpy integer, never coerced."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_positive_real(value, name: str) -> None:
+    """The one rule for a rate or a clock: a real number (not a bool), finite and > 0, else ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def _check_token_id(x_id, vocab: int, what: str = "token") -> None:

@@ -5,7 +5,6 @@ perplexity tracking, sentence scoring, and binary model persistence."""
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,14 +17,15 @@ from .lm import (
     N_LAYERS,
     LstmLayerParams,
     LstmStackParams,
+    _check_positive_real,
     _check_token_id,
     _is_int,
     _layer_backward,
+    param_layout,
     split_views,
     stack_forward,
     stack_forward_trace,
     stack_parts,
-    stack_shapes,
 )
 
 # Probability floor inside the loss so a zero-probability target cannot
@@ -114,10 +114,9 @@ def bptt_gradients(params: LstmStackParams, pair: TrainingPair):
     """
     outputs, traces = stack_forward_trace(params, pair.input)
     loss = sequence_loss(outputs, pair.label)
-    shapes = stack_shapes(params.hidden, params.vocab)
-    shapes[1] = (4 * params.hidden, 0)  # layer 0's U: its gradient is column-sparse, held outside the buffer
-    dense = np.empty(sum(math.prod(shape) for shape in shapes))
-    grad_layers, grad_V = stack_parts(split_views(dense, shapes))
+    layout = param_layout(params.hidden, params.vocab, 0)  # layer 0's U: column-sparse, held outside the buffer
+    dense = np.empty(layout.size)
+    grad_layers, grad_V = stack_parts(split_views(dense, layout.arrays))
 
     # Softmax + cross-entropy collapse to (p - onehot) at the logits.
     dz_out = np.array(outputs)
@@ -141,14 +140,6 @@ def bptt_gradients(params: LstmStackParams, pair: TrainingPair):
     return loss, Gradients(dense, grad_layers, grad_V, input_ids)
 
 
-def _check_learning_rate(learning_rate) -> None:
-    """The one learning-rate rule: a real number (not a bool), finite and > 0."""
-    if isinstance(learning_rate, bool) or not isinstance(learning_rate, numbers.Real):
-        raise ValueError(f"learning_rate must be a real number, got {learning_rate!r}")
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
-
-
 def sgd_step(params: LstmStackParams, grads: Gradients, learning_rate: float) -> LstmStackParams:
     """In-place SGD update of the parameter buffer.
 
@@ -156,7 +147,7 @@ def sgd_step(params: LstmStackParams, grads: Gradients, learning_rate: float) ->
     parameters unmodified. Layer 0's input gradient only reaches the columns named by ``grads.input_ids``;
     the columns it skips would have been updated by zero, which leaves a finite value unchanged.
     """
-    _check_learning_rate(learning_rate)
+    _check_positive_real(learning_rate, "learning_rate")
     if not (np.isfinite(grads.dense).all() and np.isfinite(grads.layers[0].U).all()):
         raise DivergenceError("diverged: non-finite gradient")
     step, U0 = np.multiply(grads.dense, learning_rate), params.layers[0].U
@@ -179,7 +170,7 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        _check_learning_rate(self.learning_rate)
+        _check_positive_real(self.learning_rate, "learning_rate")
         for name, least in (("epochs", 1), ("eval_interval", 1), ("rng_seed", 0)):
             value = getattr(self, name)
             if not _is_int(value):
@@ -294,19 +285,29 @@ MODEL_MAGIC = b"DRNN"
 MODEL_VERSION = 1
 _DTYPE_CODE = {"f64": 0, "f32": 1}
 _DTYPE_NP = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
+_U16, _U8_PAIR = struct.Struct("<H"), struct.Struct("<BB")
+_DIMS = tuple(struct.Struct(f"<{rank}Q") for rank in range(256))  # a u8 rank's dims
+_NAMES_UTF8 = tuple(name.encode() for name in ARRAY_NAMES)
 
 
 def save_model(params: LstmStackParams, path, dtype: str = "f64") -> None:
-    """Write all parameter arrays to the uncompressed named-array container."""
-    if dtype not in _DTYPE_CODE:
+    """Write the named-array container: per array its header, then its slice of ``flat``, cast on its own.
+
+    A finite value that the f32 cast would make infinite raises ValueError naming its array, and no file is left."""
+    if not isinstance(dtype, str) or dtype not in _DTYPE_CODE:
         raise ValueError(f"dtype must be one of {sorted(_DTYPE_CODE)}")
     code = _DTYPE_CODE[dtype]
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sII", MODEL_MAGIC, MODEL_VERSION, len(ARRAY_NAMES)))
-        for name, arr in named_arrays(params).items():
-            utf8 = name.encode("utf-8")
-            fh.write(struct.pack(f"<H{len(utf8)}sBB{arr.ndim}Q", len(utf8), utf8, code, arr.ndim, *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_NP[code]))  # the array's buffer, no bytes copy
+    try:
+        with open(path, "wb") as fh, np.errstate(over="raise"):
+            fh.write(struct.pack("<4sII", MODEL_MAGIC, MODEL_VERSION, len(ARRAY_NAMES)))
+            blocks = param_layout(params.hidden, params.vocab, params.vocab).blocks
+            for name, utf8, (shape, start, stop) in zip(ARRAY_NAMES, _NAMES_UTF8, blocks):
+                fh.write(_U16.pack(len(utf8)) + utf8 + _U8_PAIR.pack(code, len(shape)) + _DIMS[len(shape)].pack(*shape))
+                # One slice at a time: a whole f32 copy of the buffer would raise the peak memory.
+                fh.write(np.ascontiguousarray(params.flat[start:stop], dtype=_DTYPE_NP[code]))
+    except FloatingPointError:  # only the f32 cast of a finite value too large for float32
+        Path(path).unlink()
+        raise ValueError(f"array {name} has values beyond the float32 range") from None
 
 
 def load_model(path) -> LstmStackParams:
@@ -315,43 +316,43 @@ def load_model(path) -> LstmStackParams:
     Every malformed file raises ModelFormatError. Headers, shapes (against V's topology) and finiteness are
     checked on views of the file's bytes; the buffer is then one concatenation of them in file order, its layout.
     """
-    data = memoryview(Path(path).read_bytes())  # slices share the file's bytes, no copy
+    data = Path(path).read_bytes()
     offset = 0
 
-    def take(n: int) -> memoryview:
+    def take(n: int) -> int:  # consumes the next n bytes; returns where they start
         nonlocal offset
         if offset + n > len(data):
             raise ModelFormatError("truncated model file")
-        chunk = data[offset:offset + n]
         offset += n
-        return chunk
+        return offset - n
 
-    if take(4) != MODEL_MAGIC:
+    if data[take(4):offset] != MODEL_MAGIC:
         raise ModelFormatError("bad magic: not a model file")
-    version, count = struct.unpack("<II", take(8))
+    version, count = struct.unpack_from("<II", data, take(8))
     if version != MODEL_VERSION:
         raise ModelFormatError(f"unknown model version {version}")
     if count != len(ARRAY_NAMES):
         raise ModelFormatError(f"array count {count}, expected {len(ARRAY_NAMES)}")
 
     arrays = []  # in container order, each a view of the file's bytes
-    for position, want in enumerate(ARRAY_NAMES):
-        (name_len,) = struct.unpack("<H", take(2))
-        try:
-            name = str(take(name_len), "utf-8")
-        except UnicodeDecodeError:
-            raise ModelFormatError("array name is not valid UTF-8") from None
-        if name != want:
+    for position, (want, want_utf8) in enumerate(zip(ARRAY_NAMES, _NAMES_UTF8)):
+        start = take(_U16.unpack_from(data, take(2))[0])
+        if data[start:offset] != want_utf8:  # a name is decoded only to report it
+            try:
+                name = str(data[start:offset], "utf-8")
+            except UnicodeDecodeError:
+                raise ModelFormatError("array name is not valid UTF-8") from None
             raise ModelFormatError(f"array {position} is {name!r}, expected {want!r}")
-        code, rank = struct.unpack("<BB", take(2))
+        code, rank = _U8_PAIR.unpack_from(data, take(2))
         if code not in _DTYPE_NP:
             raise ModelFormatError(f"unknown dtype code {code}")
-        shape = struct.unpack(f"<{rank}Q", take(8 * rank))
-        raw = take(math.prod(shape) * _DTYPE_NP[code].itemsize)  # Python ints: no overflow
+        shape = _DIMS[rank].unpack_from(data, take(8 * rank))
+        size = math.prod(shape)  # Python ints: no overflow
+        start = take(size * _DTYPE_NP[code].itemsize)
         try:
-            arrays.append(np.frombuffer(raw, _DTYPE_NP[code]).reshape(shape))
+            arrays.append(np.frombuffer(data, _DTYPE_NP[code], size, start).reshape(shape))
         except ValueError:  # only a zero-size array gets here: its other dims are too large for numpy
-            raise ModelFormatError(f"array {name} shape {shape} is too large") from None
+            raise ModelFormatError(f"array {want} shape {shape} is too large") from None
     if offset != len(data):
         raise ModelFormatError("trailing bytes after last array")
 
@@ -361,13 +362,11 @@ def load_model(path) -> LstmStackParams:
     for name, size in (("hidden", hidden), ("vocab", vocab)):
         if size < 1:
             raise ModelFormatError(f"{name} must be >= 1, got {size}")
-    # Each fused array of the layout (V's shape is the file's) is four consecutive gate blocks f, i, o, g.
-    expected = [(rows // 4, *cols) for rows, *cols in stack_shapes(hidden, vocab)[:-1] for _ in range(4)]
-    for name, arr, want in zip(ARRAY_NAMES, arrays, expected):
+    for name, arr, (want, _, _) in zip(ARRAY_NAMES, arrays, param_layout(hidden, vocab, vocab).blocks):
         if arr.shape != want:
             raise ModelFormatError(f"array {name} shape {arr.shape} != {want}")
     # On the file's views, not the float64 buffer: an f32 file's views are half the bytes.
     for name, arr in zip(ARRAY_NAMES, arrays):
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ModelFormatError(f"non-finite values in array {name}")
     return LstmStackParams(np.concatenate(arrays, axis=None, dtype=np.float64), hidden, vocab)

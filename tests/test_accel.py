@@ -1,7 +1,9 @@
 """Accelerator model tests: quantization, integer exactness against a
 brute-force oracle, stream framing, and the timing model."""
 
+import fractions
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -405,6 +407,15 @@ class TestTimingModel:
                 AcceleratorConfig(**geometry)
         with pytest.raises(ValueError, match="too large: a batch's GOPS is not finite"):
             AcceleratorConfig(num_pes=500, clock_mhz=1.7e308)
+
+    @pytest.mark.parametrize("clock_mhz", ["200", None, 1j, True, np.bool_(True), [200.0]])
+    def test_clock_must_be_a_real_number(self, clock_mhz):
+        with pytest.raises(ValueError, match=f"^clock_mhz must be a real number, got {re.escape(repr(clock_mhz))}$"):
+            AcceleratorConfig(clock_mhz=clock_mhz)
+
+    @pytest.mark.parametrize("clock_mhz", [200, np.float32(150.0), np.int64(100), fractions.Fraction(400, 2)])
+    def test_clock_accepts_any_real_number(self, clock_mhz):
+        assert AcceleratorConfig(clock_mhz=clock_mhz).report.gops == pytest.approx(float(clock_mhz) / 10)
 
     @settings(deadline=None)
     @given(st.integers(-2, 10**400), st.integers(-2, 10**400), st.integers(-2, 10**400), st.floats())

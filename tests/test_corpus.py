@@ -190,6 +190,13 @@ class TestTrainingPairs:
                 assert pair.label[t] == pair.input[t + 1]
             assert all(0 <= i < vocab.size for i in pair.input + pair.label)
 
+    def test_pairs_encode_as_the_vocabulary_does(self):
+        sentences = tokenize(corpus.bundled_corpus_path().read_text(encoding="utf-8"))
+        for budget in (5, 100):  # many unknown words, then none
+            vocab = build_vocab(sentences, max_words=budget)
+            want = corpus.pairs_from_encoded([[vocab.encode(w) for w in s] for s in sentences], vocab.size)
+            assert make_training_pairs(sentences, vocab) == want
+
     def test_empty_sentence_list_is_an_error(self):
         vocab = build_vocab([["a"]], max_words=5)
         with pytest.raises(ValueError):

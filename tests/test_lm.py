@@ -233,6 +233,38 @@ class TestStackParams:
             lm.LstmStackParams(flat(size), 3, 5)
 
 
+class TestParamLayout:
+    def test_table_is_stack_shapes_with_offsets(self):
+        layout = lm.param_layout(3, 5, 5)
+        assert [shape for shape, _, _ in layout.arrays] == lm.stack_shapes(3, 5)
+        bounds = [start for _, start, _ in layout.arrays] + [layout.size]
+        assert bounds[0] == 0 and all(stop == bounds[k + 1] for k, (_, _, stop) in enumerate(layout.arrays))
+        assert layout.size == init_params(hidden=3, vocab=5).flat.size
+        # The file's arrays: each fused array's four gate blocks in turn, then V.
+        fused = [(3, 3), (3, 5), (3,)] + [(3, 3), (3, 3), (3,)] * 2
+        assert [shape for shape, _, _ in layout.blocks] == [shape for shape in fused for _ in "fiog"] + [(5, 3)]
+
+    def test_blocks_are_the_per_gate_views(self):
+        params = init_params(hidden=3, vocab=5, seed=2)
+        per_gate = [getattr(layer, name) for layer in params.layers for name in lm.GATE_PARAM_FIELDS] + [params.V]
+        for (shape, start, stop), arr in zip(lm.param_layout(3, 5, 5).blocks, per_gate, strict=True):
+            np.testing.assert_array_equal(params.flat[start:stop].reshape(shape), arr)
+
+    def test_cached_immutable_and_python_ints(self):
+        layout = lm.param_layout(np.int32(4), np.uint16(9), np.uint16(9))
+        assert lm.param_layout(np.int32(4), np.uint16(9), np.uint16(9)) is layout
+        assert layout == lm.param_layout(4, 9, 9)
+        values = [v for table in layout[:2] for shape, start, stop in table for v in (*shape, start, stop)]
+        assert all(type(v) is int for v in values + [layout.size])
+        assert isinstance(layout.arrays, tuple) and all(isinstance(entry, tuple) for entry in layout.arrays)
+        with pytest.raises(TypeError):
+            layout.arrays[1] = ((16, 0), 0, 0)
+
+    def test_a_float_size_is_refused(self):
+        with pytest.raises(TypeError):
+            lm.param_layout(3.0, 5, 5)
+
+
 class TestStackForward:
     def test_zero_params_give_uniform_outputs(self):
         params = zero_params(3, 5)

@@ -280,7 +280,28 @@ class TestCorruption:
         with pytest.raises(ModelFormatError, match=match):
             load_model(path)
 
-    def test_bad_dtype_argument(self, tmp_path):
+    @pytest.mark.parametrize("dtype", ["f16", ["f32"], None, b"f32"])
+    def test_bad_dtype_argument(self, tmp_path, dtype):
         params = lm.init_params(hidden=2, vocab=5, seed=0)
-        with pytest.raises(ValueError):
-            save_model(params, tmp_path / "x.drnn", dtype="f16")
+        with pytest.raises(ValueError, match=r"^dtype must be one of \['f32', 'f64'\]$"):
+            save_model(params, tmp_path / "x.drnn", dtype=dtype)
+        assert not (tmp_path / "x.drnn").exists()
+
+    @pytest.mark.parametrize("name, value", [("V", 1e39), ("layer1.Ug", -3.5e38), ("layer0.bf", 1.7e308)])
+    def test_f32_save_of_a_value_beyond_float32_leaves_no_file(self, tmp_path, name, value):
+        params = lm.init_params(hidden=2, vocab=5, seed=0)
+        named_arrays(params)[name].flat[0] = value
+        path = tmp_path / "model.drnn"
+        path.write_bytes(b"an older file at the same path")
+        with pytest.raises(ValueError, match=f"^array {re.escape(name)} has values beyond the float32 range$"):
+            save_model(params, path, dtype="f32")
+        assert not path.exists()
+        save_model(params, path)  # float64 holds the value
+        assert load_model(path).flat.tobytes() == params.flat.tobytes()
+
+    def test_f32_save_keeps_the_largest_value_that_rounds_to_float32(self, tmp_path):
+        params = lm.init_params(hidden=2, vocab=5, seed=0)
+        params.V[0, 0] = 3.4028235e38  # rounds down to float32's largest finite value
+        path = tmp_path / "model.drnn"
+        save_model(params, path, dtype="f32")
+        assert load_model(path).V[0, 0] == float(np.finfo(np.float32).max)

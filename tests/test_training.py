@@ -403,6 +403,16 @@ def test_numpy_integer_sizes_train_as_python_ints():
     assert logs[0] == logs[1]
 
 
+def test_gradient_layout_leaves_the_cached_parameter_layout_alone():
+    params = lm.init_params(hidden=3, vocab=6, seed=0)
+    before = lm.param_layout(3, 6, 6)
+    _, grads = bptt_gradients(params, TrainingPair([3, 1, 4], [1, 4, 5]))
+    assert lm.param_layout(3, 6, 6) is before and before.arrays[1][0] == (12, 6)
+    assert grads.dense.size == lm.param_layout(3, 6, 0).size == before.size - 12 * 6
+    assert grads.layers[0].U.shape == (12, 3)  # the sentence's three distinct input tokens
+    assert lm.LstmStackParams(params.flat, 3, 6).layers[0].U.shape == (12, 6)
+
+
 def test_evaluate_rejects_an_empty_pair_list():
     params = lm.init_params(hidden=2, vocab=5, seed=0)
     with pytest.raises(ValueError, match="no evaluation pairs"):
