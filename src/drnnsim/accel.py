@@ -8,7 +8,9 @@ over ``chunk_len`` operands) takes ``chunk_len`` cycles. Operands are
 (hardware width >= 40 bits, never overflowed at these shapes). Data enters
 and leaves as stream frames: 1-D arrays of ``PACKET`` records, one 32-bit
 word plus its last flag per transfer, the flag set on the final packet only,
-mirroring an AXI4-Stream burst.
+mirroring an AXI4-Stream burst. Words are packed and unpacked by
+reinterpreting little-endian dtypes, so frames do not depend on the host's
+byte order.
 """
 
 from __future__ import annotations
@@ -70,11 +72,17 @@ class FixedPointFormat:
     def raw_max(self) -> int:
         return min((1 << (self.int_bits + self.frac_bits)) - 1, _INT16_MAX)
 
+    @cached_property
+    def _scale_f64(self) -> np.ndarray:
+        # A 0-d array: numpy converts a Python int operand on every call (the lm._HS_SLOPE idiom).
+        return np.array(float(self.scale))
+
     @classmethod
     def parse(cls, text: str) -> "FixedPointFormat":
-        """Parse "m.n" (e.g. "8.8") into a format."""
+        """Parse "m.n" (e.g. "8.8") into a format; anything else is a ValueError."""
+        parts = text.split(".") if isinstance(text, str) else ()
         try:
-            m, n = text.split(".")
+            m, n = parts
             return cls(int(m), int(n))
         except ValueError as err:
             raise ValueError(f"bad fixed-point format {text!r}, expected 'm.n'") from err
@@ -94,7 +102,7 @@ class FixedPointTensor:
         values = np.asarray(values)
         if values.dtype.kind not in "biuf":
             raise ValueError(f"cannot quantize {values.dtype} values")
-        raw = np.rint(np.multiply(values, fmt.scale, dtype=np.float64))
+        raw = np.rint(np.multiply(values, fmt._scale_f64, dtype=np.float64))
         # Clip only when something is out of range. A NaN fails both comparisons, so it
         # gets here too; an empty array has no min or max, and clipping it is free.
         if not (raw.size and fmt.raw_min <= np.minimum.reduce(raw, None)
@@ -120,13 +128,9 @@ def matvec_error_bound(w_max: float, x_max: float, chunk_len: int, fmt: FixedPoi
 # Stream protocol: one 32-bit word per packet, last flag ends the frame
 # ---------------------------------------------------------------------------
 
-_WORD_BITS = 32
-_WORD_MASK = (1 << _WORD_BITS) - 1
-
 # One record per packet. A frame is a plain ndarray of this dtype; the np.record
 # type makes each element read as a packet (frame[-1].last) without a recarray.
 PACKET = np.dtype((np.record, [("payload", "<i8"), ("last", "?")]))
-_WORD_SHIFTS = np.array([0, _WORD_BITS])  # an accumulator's low word, then its high word
 
 
 class FramingError(RuntimeError):
@@ -141,13 +145,13 @@ def to_stream(values) -> np.ndarray:
     if values.dtype.kind not in "biu":
         raise ValueError(f"stream values must be integers, not {values.dtype}")
     frame = np.zeros(values.size, dtype=PACKET)
-    frame["payload"] = values.astype(np.int64, copy=False).ravel() & _WORD_MASK
+    frame["payload"] = values.ravel().astype("<u4", copy=False)  # the integer cast keeps the low 32 bits
     frame["last"][-1] = True
     return frame
 
 
 def _read_frame(frame: np.ndarray) -> np.ndarray:
-    """Payload words (int64) of one frame, which must end with its only last flag."""
+    """Payload words of one frame, which must end with its only last flag: each payload's low 32 bits as ``<u4``."""
     if not (isinstance(frame, np.ndarray) and frame.dtype == PACKET and frame.ndim == 1):
         got = f"{frame.ndim}-D {frame.dtype}" if isinstance(frame, np.ndarray) else type(frame).__name__
         raise FramingError(f"malformed packet: a frame is a 1-D PACKET array, not a {got}")
@@ -156,7 +160,7 @@ def _read_frame(frame: np.ndarray) -> np.ndarray:
         if last[:-1].any():
             raise FramingError("packet after last flag")
         raise FramingError("missing last flag at end of frame")
-    return frame["payload"] & _WORD_MASK
+    return frame["payload"].astype("<u4")
 
 
 def decode_output_stream(frame: np.ndarray) -> np.ndarray:
@@ -164,7 +168,7 @@ def decode_output_stream(frame: np.ndarray) -> np.ndarray:
     words = _read_frame(frame)
     if len(words) % 2 != 0:
         raise FramingError(f"odd output frame length {len(words)}")
-    return words[0::2] | (words[1::2] << _WORD_BITS)  # int64 wraps to two's complement
+    return words.view("<i8")  # each (low, high) word pair is one two's-complement accumulator
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +230,11 @@ class MacArrayCore:
     """
 
     def __init__(self, config: AcceleratorConfig | None = None):
-        self.config = config or AcceleratorConfig()
+        if config is None:
+            config = AcceleratorConfig()
+        elif not isinstance(config, AcceleratorConfig):
+            raise ValueError(f"config must be an AcceleratorConfig or None, not {type(config).__name__}")
+        self.config = config
         self._weights: np.ndarray | None = None
 
     def load_weights(self, weights) -> None:
@@ -262,7 +270,7 @@ class MacArrayCore:
         """Consume one input frame, run the batch, emit the output frame."""
         y = self.run_batch(self._consume_frame(frame))
         # Each accumulator travels as its low word then its high word; one last flag closes the frame.
-        return to_stream(y[:, None] >> _WORD_SHIFTS)
+        return to_stream(np.ascontiguousarray(y, dtype="<i8").view("<u4"))
 
     def _consume_frame(self, frame: np.ndarray) -> np.ndarray:
         chunk = self.config.chunk_len
@@ -271,7 +279,7 @@ class MacArrayCore:
             raise FramingError(f"last flag after {len(words)} of {chunk} words")
         if len(words) > chunk:
             raise FramingError(f"frame exceeds {chunk} words")
-        return words.astype(np.int32).astype(np.int64)  # the int32 cast wraps: sign-extends each word
+        return words.view("<i4")  # reinterpreting each word as signed sign-extends it
 
 
 def stream_roundtrip(core: MacArrayCore, x) -> np.ndarray:

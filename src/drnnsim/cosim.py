@@ -103,12 +103,15 @@ def offload_gate_preactivation(
     input term is a host-side column pick of U (zero multiplies), and the
     bias is added on the host. Returns the accelerated result, the float64
     reference, the observed max error, and the analytic quantization bound.
+    ``h_prev`` must have a bool, int or float dtype, else ValueError.
     """
-    config = config or AcceleratorConfig()
-    _check_token_id(x_id, layer.input_dim)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-
     core = MacArrayCore(config)
+    _check_token_id(x_id, layer.input_dim)
+    h_prev = np.asarray(h_prev)
+    if h_prev.dtype.kind not in "biuf":  # stack_step's state rule; a complex part must not be dropped
+        raise ValueError(f"h_prev has dtype {h_prev.dtype}, expected bool, int or float")
+    h_prev = h_prev.astype(np.float64, copy=False)
+
     recurrent_term = matvec_fixed(core, layer.Wf, h_prev, fmt)
     host_term = layer.Uf[:, x_id] + layer.bf
 
@@ -118,7 +121,7 @@ def offload_gate_preactivation(
     bound = matvec_error_bound(
         w_max=float(np.max(np.abs(layer.Wf))),
         x_max=float(np.max(np.abs(h_prev))),
-        chunk_len=config.chunk_len,
+        chunk_len=core.config.chunk_len,
         fmt=fmt,
     )
     return OffloadResult(accel=accel, float_ref=float_ref, max_abs_err=max_abs_err, error_bound=bound)

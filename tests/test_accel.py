@@ -70,6 +70,12 @@ class TestFixedPointFormat:
         with pytest.raises(ValueError):
             FixedPointFormat.parse("88")
 
+    @pytest.mark.parametrize("text", [None, 8.8, 88, b"8.8", ["8", "8"]],
+                             ids=["none", "float", "int", "bytes", "list"])
+    def test_parse_of_a_non_string_is_the_documented_error(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"bad fixed-point format {text!r}, expected 'm.n'")):
+            FixedPointFormat.parse(text)
+
     def test_q88_bounds_are_the_operand_width(self):
         assert Q88.raw_min == -32768
         assert Q88.raw_max == 32767
@@ -201,6 +207,18 @@ class TestQuantize:
 # ---------------------------------------------------------------------------
 
 class TestMacArrayCore:
+    def test_config_is_none_or_an_accelerator_config(self):
+        assert MacArrayCore().config == MacArrayCore(None).config == AcceleratorConfig()
+        small = AcceleratorConfig(num_pes=1, lanes_per_pe=2, chunk_len=3)
+        assert MacArrayCore(small).config is small
+
+    @pytest.mark.parametrize("config", [0, "x", False, {}, SimpleNamespace(rows=50, chunk_len=50)],
+                             ids=["zero", "str", "false", "empty-dict", "duck"])
+    def test_any_other_config_is_rejected_by_type(self, config):
+        message = f"^config must be an AcceleratorConfig or None, not {type(config).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            MacArrayCore(config)
+
     def test_run_before_load_is_an_error(self):
         core = MacArrayCore()
         with pytest.raises(RuntimeError, match="not loaded"):
@@ -650,6 +668,25 @@ class TestStreamMatchesReference:
         assert decode_output_stream(frame).tolist() == accumulators
         assert ref_decode_output_stream(as_pairs(frame)) == accumulators
 
+    @settings(deadline=None)
+    @given(st.lists(INT64, min_size=100, max_size=100), st.sampled_from(["strided", "big-endian"]))
+    def test_output_frames_of_any_accumulator_layout_equal_the_reference(self, accumulators, layout):
+        # run_batch's vector reaches the frame builder as it is: a strided view or a byte-swapped dtype
+        y = np.array(accumulators, dtype=np.int64)
+        y = y[::2] if layout == "strided" else y[:50].astype(">i8")
+        core = self.make_core(0)
+        core.run_batch = lambda x: y
+        frame = core.stream_batch(to_stream(np.zeros(50, dtype=np.int64)))
+        assert as_pairs(frame) == ref_output_frame(y.tolist())
+
+    @settings(deadline=None)
+    @given(hnp.arrays(np.int64, st.tuples(st.integers(1, 6), st.integers(1, 6)), elements=INT64),
+           st.sampled_from(["2-d", "transposed", "big-endian", "uint64"]))
+    def test_input_frames_of_any_operand_layout_equal_the_reference(self, values, layout):
+        values = {"2-d": values, "transposed": values.T, "big-endian": values.astype(">i8"),
+                  "uint64": values.astype(np.uint64)}[layout]
+        assert as_pairs(to_stream(values)) == ref_to_stream(values.ravel().tolist())
+
     @settings(deadline=None, max_examples=50)
     @given(OPERANDS, st.integers(0, 2**32 - 1))
     def test_roundtrip_equals_run_batch_and_the_reference_decode(self, x, seed):
@@ -696,6 +733,24 @@ class TestMalformedStreamInput:
         frame["payload"][20:22] = -1, WORD_MASK  # the same word, written signed and unsigned
         y = decode_output_stream(core.stream_batch(frame))
         assert y[20] == y[21] == -1
+
+    @pytest.mark.parametrize("word", [0x8000, 0xFFFF7FFF, 0x7FFFFFFF, 0x80000000])
+    def test_input_words_outside_int16_are_rejected(self, word):
+        core = MacArrayCore()
+        core.load_weights(np.eye(50, dtype=np.int64))
+        frame = to_stream(np.zeros(50, dtype=np.int64))
+        frame["payload"][9] = word
+        with pytest.raises(ValueError, match="^input values exceed the 16-bit signed operand range$"):
+            core.stream_batch(frame)
+
+    @pytest.mark.parametrize("word, operand", [(0x7FFF, 2**15 - 1), (0xFFFF8000, -(2**15)), (-1, -1), (2**40 + 5, 5)])
+    def test_input_words_read_as_their_signed_low_32_bits(self, word, operand):
+        core = MacArrayCore()
+        core.load_weights(np.eye(50, dtype=np.int64))
+        frame = to_stream(np.zeros(50, dtype=np.int64))
+        frame["payload"][9] = word
+        y = decode_output_stream(core.stream_batch(frame))
+        assert y[9] == operand and not y[:9].any() and not y[10:].any()
 
     @pytest.mark.parametrize("values", [[1.5], [1.0], np.array([0.5, 2.0]), ["7"], [None]],
                              ids=["float", "integral-float", "float-array", "str", "none"])

@@ -98,6 +98,19 @@ class TestOffload:
         with pytest.raises(ValueError, match=rf"token id {x_id} out of range \[0, 200\)"):
             offload_gate_preactivation(layer, np.zeros(50), x_id, Q88)
 
+    @pytest.mark.parametrize("h_prev", [np.full(50, 0.5 + 0.25j), np.full(50, 0.5, dtype=object), np.full(50, "0.5")],
+                             ids=["complex", "object", "str"])
+    def test_non_real_state_is_rejected(self, h_prev):
+        # a complex state must not lose its imaginary part to a float64 cast
+        layer = self.make_layer(seed=2)
+        with pytest.raises(ValueError, match=f"^h_prev has dtype {h_prev.dtype}, expected bool, int or float$"):
+            offload_gate_preactivation(layer, h_prev, 0, Q88)
+
+    @pytest.mark.parametrize("config", [0, "x"])
+    def test_config_must_be_an_accelerator_config(self, config):
+        with pytest.raises(ValueError, match="^config must be an AcceleratorConfig or None"):
+            offload_gate_preactivation(self.make_layer(seed=2), np.zeros(50), 0, Q88, config)
+
     def test_on_grid_values_are_exact(self):
         layer = self.make_layer(seed=3)
         rng = np.random.default_rng(3)
