@@ -207,11 +207,6 @@ class TestQuantize:
 # ---------------------------------------------------------------------------
 
 class TestMacArrayCore:
-    def test_config_is_none_or_an_accelerator_config(self):
-        assert MacArrayCore().config == MacArrayCore(None).config == AcceleratorConfig()
-        small = AcceleratorConfig(num_pes=1, lanes_per_pe=2, chunk_len=3)
-        assert MacArrayCore(small).config is small
-
     @pytest.mark.parametrize("config", [0, "x", False, {}, SimpleNamespace(rows=50, chunk_len=50)],
                              ids=["zero", "str", "false", "empty-dict", "duck"])
     def test_any_other_config_is_rejected_by_type(self, config):
