@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lm import _check_positive_real, _is_int
+from .lm import _check_int_fields, _check_positive_real
 
 # ---------------------------------------------------------------------------
 # Q(m,n) fixed-point formats
@@ -32,18 +32,6 @@ _INT16_MIN = -(1 << (_OPERAND_BITS - 1))
 _INT16_MAX = (1 << (_OPERAND_BITS - 1)) - 1
 
 
-def _check_int_fields(obj, *names: str) -> None:
-    """Each named field must follow ``lm._is_int``, the integer rule a token id follows.
-
-    The field is stored as a Python ``int``, so sizes derived from a numpy integer cannot wrap around.
-    """
-    for name in names:
-        value = getattr(obj, name)
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(obj, name, int(value))  # the dataclasses are frozen
-
-
 @dataclass(frozen=True)
 class FixedPointFormat:
     """Signed Q(m,n) format: m integer bits, n fractional bits, value = raw / 2^n."""
@@ -52,9 +40,7 @@ class FixedPointFormat:
     frac_bits: int
 
     def __post_init__(self):
-        _check_int_fields(self, "int_bits", "frac_bits")
-        if self.int_bits < 0 or self.frac_bits < 0:
-            raise ValueError("bit counts must be non-negative")
+        _check_int_fields(self, 0, "int_bits", "frac_bits")
         if not 1 <= self.int_bits + self.frac_bits <= _OPERAND_BITS:
             raise ValueError(f"int_bits + frac_bits must be in [1, {_OPERAND_BITS}]")
 
@@ -192,9 +178,7 @@ class AcceleratorConfig:
     clock_mhz: float = 200.0
 
     def __post_init__(self):
-        _check_int_fields(self, "num_pes", "lanes_per_pe", "chunk_len")
-        if self.num_pes < 1 or self.lanes_per_pe < 1 or self.chunk_len < 1:
-            raise ValueError("num_pes, lanes_per_pe, chunk_len must be >= 1")
+        _check_int_fields(self, 1, "num_pes", "lanes_per_pe", "chunk_len")
         _check_positive_real(self.clock_mhz, "clock_mhz")
         # Every config that constructs has a finite report, computed here once.
         try:

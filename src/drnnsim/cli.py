@@ -30,6 +30,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _fixed_point_format(text: str) -> accel.FixedPointFormat:
+    """``FixedPointFormat.parse`` for ``--fmt``: argparse reports only an ArgumentTypeError's own message."""
+    try:
+        return accel.FixedPointFormat.parse(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="drnnsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -77,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_accel_bench)
 
     p = sub.add_parser("cosim-verify", help="golden vectors, gate offload, throughput table")
-    p.add_argument("--fmt", type=accel.FixedPointFormat.parse, default="8.8",
+    p.add_argument("--fmt", type=_fixed_point_format, default="8.8",
                    help="fixed-point format m.n")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv-out", default=None, help="write the throughput CSV here")
@@ -139,18 +147,11 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _seeded_rng(seed: int) -> np.random.Generator:
-    """numpy's generator for ``--seed``, which must be >= 0 (numpy's own error names no flag)."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
-
-
 def cmd_generate(args) -> int:
     params, vocab = _load_model_and_vocab(args)
     if args.max_len < 1:
         raise ValueError("max-len must be >= 1")
-    rng = _seeded_rng(args.seed)
+    rng = np.random.default_rng(lm._check_int(args.seed, "seed", 0))
     state = lm.zero_state(params)
     token = corpus.start_token_id(vocab.size)
     words = []
@@ -185,7 +186,7 @@ def cmd_accel_bench(args) -> int:
 
 
 def cmd_cosim_verify(args) -> int:
-    rng = _seeded_rng(args.seed)
+    rng = np.random.default_rng(lm._check_int(args.seed, "seed", 0))
     golden = cosim.golden_test()
     print(golden)
     print(f"hardware: {golden.hardware}")

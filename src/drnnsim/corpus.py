@@ -3,6 +3,7 @@ and shifted input/label token pairs for next-word training."""
 
 from __future__ import annotations
 
+import math
 import re
 import unicodedata
 from collections import Counter
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .lm import _check_token_id
+from .lm import _check_int, _check_token_id
 
 SENTENCE_START = "SENTENCE_START"
 SENTENCE_END = "SENTENCE_END"
@@ -67,11 +68,13 @@ class Vocabulary:
     def __init__(self, words: list[str]):
         if len(words) < N_SPECIAL_TOKENS or tuple(words[-3:]) != SPECIAL_TOKENS:
             raise ValueError("vocabulary must end with the three special tokens")
-        if len(set(words)) != len(words):
-            raise ValueError("vocabulary contains duplicate words")
-        for word in words:
+        for word in words:  # before the duplicate check, which hashes each word
+            if not isinstance(word, str):
+                raise ValueError(f"vocabulary word {word!r} is not a str")
             if "\n" in word or "\r" in word:
                 raise ValueError(f"vocabulary word {word!r} contains a line end")
+        if len(set(words)) != len(words):
+            raise ValueError("vocabulary contains duplicate words")
         self.words: tuple[str, ...] = tuple(words)
         self.index_of: dict[str, int] = {w: i for i, w in enumerate(words)}
 
@@ -102,6 +105,8 @@ def build_vocab(sentences: list[list[str]], max_words: int = DEFAULT_VOCAB_BUDGE
     Ties between equally frequent words are broken by first occurrence in
     the corpus, which makes the vocabulary deterministic.
     """
+    # The integer rule without its floor: a budget below 1 keeps its own message.
+    max_words = _check_int(max_words, "max_words", -math.inf)
     if max_words < 1:
         raise ValueError("empty vocabulary: max_words must be >= 1")
     counts = Counter(w for sentence in sentences for w in sentence)

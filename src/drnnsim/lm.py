@@ -149,6 +149,7 @@ class LstmStackParams:
     vocab: int
 
     def __post_init__(self):
+        _check_int_fields(self, 1, "hidden", "vocab")
         arrays, _, size = param_layout(self.hidden, self.vocab, self.vocab)
         if self.flat.dtype != np.float64 or self.flat.shape != (size,):
             raise ValueError(f"flat must be float64 of shape ({size},), got {self.flat.dtype} {self.flat.shape}")
@@ -323,11 +324,7 @@ def stack_step(params: LstmStackParams, x_id: int, state: LstmState):
 
 def init_params(hidden: int = DEFAULT_HIDDEN, vocab: int = DEFAULT_VOCAB, seed: int = 0) -> LstmStackParams:
     """Seeded initialization: each matrix uniform in +-1/sqrt(fan_in), biases zero."""
-    for name, value, least in (("hidden", hidden, 1), ("vocab", vocab, 1), ("seed", seed, 0)):
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+    hidden, vocab, seed = _check_int(hidden, "hidden", 1), _check_int(vocab, "vocab", 1), _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     # not np.zeros: calloc on reused memory zeroes it all
     params = LstmStackParams(np.empty(param_layout(hidden, vocab, vocab).size), hidden, vocab)
@@ -347,6 +344,21 @@ def init_params(hidden: int = DEFAULT_HIDDEN, vocab: int = DEFAULT_VOCAB, seed: 
 def _is_int(value) -> bool:
     """The one integer rule: an ``int`` (not a bool) or numpy integer, never coerced."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_int(value, name: str, least) -> int:
+    """The one rule for a size, a count or a seed: ``_is_int`` and >= ``least``, else ValueError naming it."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def _check_int_fields(obj, least: int, *names: str) -> None:
+    """``_check_int`` on each named field of a frozen dataclass, stored back as a Python ``int``: sizes cannot wrap."""
+    for name in names:
+        object.__setattr__(obj, name, _check_int(getattr(obj, name), name, least))
 
 
 def _check_positive_real(value, name: str) -> None:

@@ -17,9 +17,9 @@ from .lm import (
     N_LAYERS,
     LstmLayerParams,
     LstmStackParams,
+    _check_int_fields,
     _check_positive_real,
     _check_token_id,
-    _is_int,
     _layer_backward,
     param_layout,
     split_views,
@@ -171,12 +171,8 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_positive_real(self.learning_rate, "learning_rate")
-        for name, least in (("epochs", 1), ("eval_interval", 1), ("rng_seed", 0)):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+        _check_int_fields(self, 1, "epochs", "eval_interval")
+        _check_int_fields(self, 0, "rng_seed")
 
 
 @dataclass(frozen=True)

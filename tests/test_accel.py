@@ -465,6 +465,17 @@ class TestTimingModel:
             with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
                 make(value)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: FixedPointFormat(-1, 8), "int_bits must be >= 0, got -1"),
+        (lambda: FixedPointFormat(8, np.int8(-2)), "frac_bits must be >= 0, got -2"),
+        (lambda: AcceleratorConfig(num_pes=0), "num_pes must be >= 1, got 0"),
+        (lambda: AcceleratorConfig(lanes_per_pe=-1), "lanes_per_pe must be >= 1, got -1"),
+        (lambda: AcceleratorConfig(chunk_len=0), "chunk_len must be >= 1, got 0"),
+    ], ids=["int_bits", "frac_bits", "num_pes", "lanes_per_pe", "chunk_len"])
+    def test_geometry_and_bit_counts_name_their_floor(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
     def test_numpy_integer_geometry_does_not_wrap(self):
         # stored as a Python int, so rows are 2^64, not int64's wrapped 0
         assert AcceleratorConfig(num_pes=np.int64(2**62), lanes_per_pe=np.int64(4)).rows == 2**64

@@ -321,6 +321,11 @@ class TestCosimVerify:
     def test_bad_format_flag_is_a_usage_error(self):
         assert main(["cosim-verify", "--fmt", "nonsense"]) == 1
 
+    def test_bad_format_flag_keeps_the_parser_message(self, capsys):
+        assert main(["cosim-verify", "--fmt", "8.8.8"]) == 1
+        assert capsys.readouterr() == (
+            "", "usage error: argument --fmt: bad fixed-point format '8.8.8', expected 'm.n'\n")
+
 
 @pytest.mark.parametrize("entry, message", [
     ("init_params", "seed must be >= 0, got -1"),

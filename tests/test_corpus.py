@@ -86,6 +86,11 @@ class TestBuildVocab:
         with pytest.raises(ValueError, match="empty vocabulary"):
             build_vocab([["a"]], max_words=0)
 
+    @pytest.mark.parametrize("max_words", [2.5, True, "3", None], ids=repr)
+    def test_budget_follows_the_integer_rule(self, max_words):
+        with pytest.raises(ValueError, match=f"^max_words must be an integer, got {re.escape(repr(max_words))}$"):
+            build_vocab([["a"]], max_words=max_words)
+
     def test_specials_occupy_highest_indices(self):
         vocab = build_vocab([["a", "b"]], max_words=10)
         assert vocab.decode(corpus.start_token_id(vocab.size)) == SENTENCE_START
@@ -130,6 +135,15 @@ class TestVocabulary:
     def test_rejects_a_word_holding_a_line_end(self, word):
         with pytest.raises(ValueError, match=f"^vocabulary word {re.escape(repr(word))} contains a line end$"):
             Vocabulary([word, "c", *SPECIAL_TOKENS])
+
+    @pytest.mark.parametrize("make, word", [
+        (lambda: Vocabulary([1, 2, *SPECIAL_TOKENS]), 1),
+        (lambda: build_vocab([[1, 2]]), 1),
+        (lambda: Vocabulary([["a"], "b", *SPECIAL_TOKENS]), ["a"]),
+    ], ids=["Vocabulary", "build_vocab", "unhashable"])
+    def test_rejects_a_word_that_is_not_a_str(self, make, word):
+        with pytest.raises(ValueError, match=f"^vocabulary word {re.escape(repr(word))} is not a str$"):
+            make()
 
     @given(st.lists(st.text(), unique=True))
     def test_every_vocabulary_that_constructs_survives_the_file(self, words):

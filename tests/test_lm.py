@@ -233,6 +233,23 @@ class TestStackParams:
             lm.LstmStackParams(flat(size), 3, 5)
 
 
+    @pytest.mark.parametrize("value, message", [
+        (2.5, "must be an integer, got 2.5"),
+        (True, "must be an integer, got True"),
+        (0, "must be >= 1, got 0"),
+        (-1, "must be >= 1, got -1"),
+    ], ids=["float", "bool", "zero", "negative"])
+    @pytest.mark.parametrize("field", ["hidden", "vocab"])
+    def test_sizes_follow_the_integer_rule(self, field, value, message):
+        sizes = {"hidden": 2, "vocab": 7, field: value}
+        with pytest.raises(ValueError, match=f"^{field} {re.escape(message)}$"):
+            lm.LstmStackParams(zero_params(2, 7).flat, **sizes)
+
+    def test_numpy_integer_sizes_are_stored_as_python_ints(self):
+        params = lm.LstmStackParams(zero_params(2, 7).flat, np.int32(2), np.uint16(7))
+        assert (type(params.hidden), type(params.vocab)) == (int, int)
+
+
 class TestParamLayout:
     def test_table_is_stack_shapes_with_offsets(self):
         layout = lm.param_layout(3, 5, 5)

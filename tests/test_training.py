@@ -403,6 +403,12 @@ def test_numpy_integer_sizes_train_as_python_ints():
     assert logs[0] == logs[1]
 
 
+def test_numpy_integer_config_fields_are_stored_as_python_ints():
+    config = TrainConfig(epochs=np.int64(3), eval_interval=np.uint8(2), rng_seed=np.int32(7))
+    assert [(type(v), v) for v in (config.epochs, config.eval_interval, config.rng_seed)] == [
+        (int, 3), (int, 2), (int, 7)]
+
+
 def test_gradient_layout_leaves_the_cached_parameter_layout_alone():
     params = lm.init_params(hidden=3, vocab=6, seed=0)
     before = lm.param_layout(3, 6, 6)
