@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,34 +33,22 @@ _INT16_MAX = (1 << (_OPERAND_BITS - 1)) - 1
 
 @dataclass(frozen=True)
 class FixedPointFormat:
-    """Signed Q(m,n) format: m integer bits, n fractional bits, value = raw / 2^n."""
+    """Signed Q(m,n) format: m integer bits, n fractional bits, value = raw / 2^n for ``scale`` = 2^n."""
 
     int_bits: int
     frac_bits: int
 
     def __post_init__(self):
         _check_int_fields(self, 0, "int_bits", "frac_bits")
-        if not 1 <= self.int_bits + self.frac_bits <= _OPERAND_BITS:
+        bits = self.int_bits + self.frac_bits
+        if not 1 <= bits <= _OPERAND_BITS:
             raise ValueError(f"int_bits + frac_bits must be in [1, {_OPERAND_BITS}]")
-
-    # Cached in the instance __dict__: fields, equality, hash and repr are untouched.
-    @cached_property
-    def scale(self) -> int:
-        return 1 << self.frac_bits
-
-    @cached_property
-    def raw_min(self) -> int:
-        # Nominal Q(m,n) range, capped to the 16-bit signed operand width.
-        return max(-(1 << (self.int_bits + self.frac_bits)), _INT16_MIN)
-
-    @cached_property
-    def raw_max(self) -> int:
-        return min((1 << (self.int_bits + self.frac_bits)) - 1, _INT16_MAX)
-
-    @cached_property
-    def _scale_f64(self) -> np.ndarray:
-        # A 0-d array: numpy converts a Python int operand on every call (the lm._HS_SLOPE idiom).
-        return np.array(float(self.scale))
+        scale = 1 << self.frac_bits
+        # Derived values, set once in the instance __dict__, past the frozen __setattr__: fields, equality, hash
+        # and repr are untouched. _scale_f64 is a 0-d array: numpy converts a Python int operand on every call
+        # (the lm._HS_SLOPE idiom). The range is the nominal Q(m,n) one, capped to the 16-bit operand width.
+        vars(self).update(scale=scale, _scale_f64=np.array(float(scale)),
+                          raw_min=max(-(1 << bits), _INT16_MIN), raw_max=min((1 << bits) - 1, _INT16_MAX))
 
     @classmethod
     def parse(cls, text: str) -> "FixedPointFormat":
@@ -85,6 +72,8 @@ class FixedPointTensor:
 
     @classmethod
     def from_real(cls, values, fmt: FixedPointFormat) -> "FixedPointTensor":
+        if not isinstance(fmt, FixedPointFormat):
+            raise ValueError(f"fmt must be a FixedPointFormat, not {type(fmt).__name__}")
         values = np.asarray(values)
         if values.dtype.kind not in "biuf":
             raise ValueError(f"cannot quantize {values.dtype} values")
@@ -172,6 +161,8 @@ class BatchReport:
 
 @dataclass(frozen=True)
 class AcceleratorConfig:
+    """MAC-array geometry and clock; its ``rows`` and the batch ``report`` are set once, at construction."""
+
     num_pes: int = 5
     lanes_per_pe: int = 10
     chunk_len: int = 50  # dot-product length per batch
@@ -180,9 +171,12 @@ class AcceleratorConfig:
     def __post_init__(self):
         _check_int_fields(self, 1, "num_pes", "lanes_per_pe", "chunk_len")
         _check_positive_real(self.clock_mhz, "clock_mhz")
-        # Every config that constructs has a finite report, computed here once.
+        rows = self.num_pes * self.lanes_per_pe  # output rows per batch, one per multiplier lane
+        ops = rows * self.chunk_len
+        # One batch takes chunk_len cycles whatever its operands; every config that constructs has a finite report.
         try:
-            report = self.report
+            latency_ns = self.chunk_len * 1000.0 / self.clock_mhz
+            report = BatchReport(ops, ops, self.chunk_len, latency_ns, 2 * ops / latency_ns)
         except OverflowError:  # an int too large to convert to a float
             raise ValueError("num_pes * lanes_per_pe * chunk_len is too large: "
                              "a batch's report overflows a float") from None
@@ -190,19 +184,7 @@ class AcceleratorConfig:
             raise ValueError(f"clock_mhz {self.clock_mhz} is too small: a batch's latency in ns is not finite")
         if not math.isfinite(report.gops):
             raise ValueError(f"clock_mhz {self.clock_mhz} is too large: a batch's GOPS is not finite")
-
-    @property
-    def rows(self) -> int:
-        """Output rows per batch, one per multiplier lane."""
-        return self.num_pes * self.lanes_per_pe
-
-    # Cached in the instance __dict__: fields, equality, hash and repr are untouched.
-    @cached_property
-    def report(self) -> BatchReport:
-        """Operation counts and timing of one batch, which takes ``chunk_len`` cycles whatever its operands."""
-        ops = self.rows * self.chunk_len
-        latency_ns = self.chunk_len * 1000.0 / self.clock_mhz
-        return BatchReport(ops, ops, self.chunk_len, latency_ns, 2 * ops / latency_ns)
+        vars(self).update(rows=rows, report=report)  # set once, as in FixedPointFormat
 
 
 class MacArrayCore:

@@ -50,12 +50,14 @@ def softmax(z: np.ndarray) -> np.ndarray:
 GATES = ("f", "i", "o", "g")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LstmLayerParams:
     """One LSTM layer as three fused arrays, row blocks in gate order f, i, o, g.
 
     ``W`` is 4H x H (recurrent), ``U`` is 4H x I (input), ``b`` has 4H
-    entries. The per-gate names ``Wf`` ... ``bg`` are read-only attributes
+    entries; ``hidden`` (H) and ``input_dim`` (I) are set at construction.
+    The layer is frozen, so no array can be rebound away from a stack's
+    ``flat``. The per-gate names ``Wf`` ... ``bg`` are read-only attributes
     whose values are views of the blocks: in-place writes through them
     (``layer.bf[...] += 1``) reach the fused storage, and they stay aliased
     after ``copy.deepcopy`` because they are derived on access.
@@ -66,19 +68,13 @@ class LstmLayerParams:
     b: np.ndarray
 
     def __post_init__(self):
-        rows = 4 * self.hidden
-        if self.b.shape != (rows,) or self.W.shape != (rows, self.hidden) or self.U.ndim != 2 or len(self.U) != rows:
+        hidden = self.b.shape[0] // 4
+        rows = 4 * hidden
+        if self.b.shape != (rows,) or self.W.shape != (rows, hidden) or self.U.ndim != 2 or len(self.U) != rows:
             raise ValueError(
                 f"shapes W {self.W.shape}, U {self.U.shape}, b {self.b.shape} are not (4H, H), (4H, I), (4H,)"
             )
-
-    @property
-    def hidden(self) -> int:
-        return self.b.shape[0] // 4
-
-    @property
-    def input_dim(self) -> int:
-        return self.U.shape[1]
+        vars(self).update(hidden=hidden, input_dim=self.U.shape[1])  # set once, past the frozen __setattr__
 
 
 def _gate_block(fused: str, k: int) -> property:
@@ -132,9 +128,9 @@ def split_views(buffer: np.ndarray, table) -> list[np.ndarray]:
     return [buffer[start:stop].reshape(shape) for shape, start, stop in table]
 
 
-def stack_parts(arrays) -> tuple[list[LstmLayerParams], np.ndarray]:
-    """The ``(layers, V)`` of a ``stack_shapes``-ordered array list."""
-    return [LstmLayerParams(*arrays[k:k + 3]) for k in range(0, 3 * N_LAYERS, 3)], arrays[-1]
+def stack_parts(arrays) -> tuple[tuple[LstmLayerParams, ...], np.ndarray]:
+    """The ``(layers, V)`` of a ``stack_shapes``-ordered array list; ``layers`` is a tuple, so none can be swapped."""
+    return tuple(LstmLayerParams(*arrays[k:k + 3]) for k in range(0, 3 * N_LAYERS, 3)), arrays[-1]
 
 
 @dataclass(frozen=True)
@@ -151,9 +147,11 @@ class LstmStackParams:
     def __post_init__(self):
         _check_int_fields(self, 1, "hidden", "vocab")
         arrays, _, size = param_layout(self.hidden, self.vocab, self.vocab)
-        if self.flat.dtype != np.float64 or self.flat.shape != (size,):
-            raise ValueError(f"flat must be float64 of shape ({size},), got {self.flat.dtype} {self.flat.shape}")
-        layers, V = stack_parts(split_views(self.flat, arrays))
+        flat = self.flat
+        if not isinstance(flat, np.ndarray) or flat.dtype != np.float64 or flat.shape != (size,):
+            got = f"{flat.dtype} {flat.shape}" if isinstance(flat, np.ndarray) else type(flat).__name__
+            raise ValueError(f"flat must be float64 of shape ({size},), got {got}")
+        layers, V = stack_parts(split_views(flat, arrays))
         vars(self).update(layers=layers, V=V)  # set once, past the frozen __setattr__
 
     def __reduce__(self):

@@ -5,6 +5,7 @@ perplexity tracking, sentence scoring, and binary model persistence."""
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -89,7 +90,7 @@ class Gradients:
     sentence's k distinct input tokens ``input_ids``, sorted; every other column of it is zero."""
 
     dense: np.ndarray
-    layers: list[LstmLayerParams]
+    layers: tuple[LstmLayerParams, ...]
     V: np.ndarray
     input_ids: np.ndarray
 
@@ -136,7 +137,7 @@ def bptt_gradients(params: LstmStackParams, pair: TrainingPair):
     input_ids = np.array(sorted(set(pair.input)))  # np.unique's result, at a third of its cost
     grad_U0 = np.zeros((len(input_ids), dZ.shape[1]))
     np.add.at(grad_U0, np.searchsorted(input_ids, pair.input), dZ)
-    grad_layers[0].U = grad_U0.T
+    grad_layers = (LstmLayerParams(grad_layers[0].W, grad_U0.T, grad_layers[0].b),) + grad_layers[1:]
     return loss, Gradients(dense, grad_layers, grad_V, input_ids)
 
 
@@ -286,10 +287,17 @@ _DIMS = tuple(struct.Struct(f"<{rank}Q") for rank in range(256))  # a u8 rank's 
 _NAMES_UTF8 = tuple(name.encode() for name in ARRAY_NAMES)
 
 
+def _check_model_path(path) -> None:
+    """The model-path rule: a str or os.PathLike, else ValueError (``open`` would take an int as a file descriptor)."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"model path must be a str or os.PathLike, not {type(path).__name__}")
+
+
 def save_model(params: LstmStackParams, path, dtype: str = "f64") -> None:
     """Write the named-array container: per array its header, then its slice of ``flat``, cast on its own.
 
     A finite value that the f32 cast would make infinite raises ValueError naming its array, and no file is left."""
+    _check_model_path(path)
     if not isinstance(dtype, str) or dtype not in _DTYPE_CODE:
         raise ValueError(f"dtype must be one of {sorted(_DTYPE_CODE)}")
     code = _DTYPE_CODE[dtype]
@@ -312,6 +320,7 @@ def load_model(path) -> LstmStackParams:
     Every malformed file raises ModelFormatError. Headers, shapes (against V's topology) and finiteness are
     checked on views of the file's bytes; the buffer is then one concatenation of them in file order, its layout.
     """
+    _check_model_path(path)
     data = Path(path).read_bytes()
     offset = 0
 

@@ -1,8 +1,10 @@
 """Accelerator model tests: quantization, integer exactness against a
 brute-force oracle, stream framing, and the timing model."""
 
+import copy
 import fractions
 import math
+import pickle
 import re
 from types import SimpleNamespace
 
@@ -34,6 +36,11 @@ FORMATS = st.integers(1, 16).flatmap(
     lambda bits: st.builds(lambda frac: FixedPointFormat(bits - frac, frac), st.integers(0, bits))
 )
 REALS = st.floats(min_value=-1e6, max_value=1e6)
+
+
+# A deep copy and a pickle round trip: each must keep a value object's fields and its derived values.
+CLONES = pytest.mark.parametrize("clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                                 ids=["deepcopy", "pickle"])
 
 
 def raw_of(x, fmt):
@@ -98,6 +105,16 @@ class TestFixedPointFormat:
         assert fresh == read and hash(fresh) == hash(read)
         assert repr(read) == "FixedPointFormat(int_bits=8, frac_bits=8)"
         assert read != FixedPointFormat(4, 8)
+
+    @CLONES
+    def test_copies_keep_the_fields_and_the_derived_values(self, clone):
+        for fmt in (Q88, FixedPointFormat(4, 4), FixedPointFormat(0, 16)):
+            copied = clone(fmt)
+            assert copied == fmt
+            assert (copied.scale, copied.raw_min, copied.raw_max) == (fmt.scale, fmt.raw_min, fmt.raw_max)
+            assert copied._scale_f64.shape == () and copied._scale_f64.dtype == np.float64
+            assert copied._scale_f64 == fmt._scale_f64 == fmt.scale
+        assert (FixedPointFormat(4, 4).raw_min, FixedPointFormat(4, 4).raw_max) == (-256, 255)
 
 
 class TestQuantize:
@@ -194,6 +211,14 @@ class TestQuantize:
     def test_non_real_values_cannot_be_quantized(self, kind):
         with pytest.raises(ValueError, match="cannot quantize"):
             FixedPointTensor.from_real(NON_REAL[kind]((3,)), Q88)
+
+    @pytest.mark.parametrize("fmt", [8, "8.8", None, (8, 8)], ids=["int", "str", "none", "tuple"])
+    def test_fmt_must_be_a_fixed_point_format(self, fmt):
+        message = f"^fmt must be a FixedPointFormat, not {type(fmt).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            FixedPointTensor.from_real(np.zeros(3), fmt)
+        with pytest.raises(ValueError, match=message):
+            matvec_fixed(MacArrayCore(), np.zeros((50, 50)), np.zeros(50), fmt)
 
     def test_tensor_roundtrip(self):
         values = np.array([[1.5, -0.25], [0.0, 3.75]])
@@ -401,6 +426,14 @@ class TestTimingModel:
         assert config == other and hash(config) == hash(other)
         assert repr(config) == "AcceleratorConfig(num_pes=5, lanes_per_pe=10, chunk_len=50, clock_mhz=200.0)"
         assert config != AcceleratorConfig(clock_mhz=100.0)
+
+    @CLONES
+    def test_copies_keep_the_fields_and_the_derived_values(self, clone):
+        for config in (AcceleratorConfig(), AcceleratorConfig(num_pes=2, lanes_per_pe=3, chunk_len=4, clock_mhz=333.0)):
+            copied = clone(config)
+            assert copied == config
+            assert (copied.rows, copied.report) == (config.rows, config.report)
+            assert MacArrayCore(copied).report() == config.report
 
     def test_report_follows_a_reassigned_config(self):
         core = MacArrayCore()

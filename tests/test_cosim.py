@@ -111,6 +111,11 @@ class TestOffload:
         with pytest.raises(ValueError, match="^config must be an AcceleratorConfig or None"):
             offload_gate_preactivation(self.make_layer(seed=2), np.zeros(50), 0, Q88, config)
 
+    @pytest.mark.parametrize("fmt", [8, "8.8"], ids=["int", "str"])
+    def test_fmt_must_be_a_fixed_point_format(self, fmt):
+        with pytest.raises(ValueError, match=f"^fmt must be a FixedPointFormat, not {type(fmt).__name__}$"):
+            offload_gate_preactivation(self.make_layer(seed=2), np.zeros(50), 0, fmt)
+
     def test_on_grid_values_are_exact(self):
         layer = self.make_layer(seed=3)
         rng = np.random.default_rng(3)

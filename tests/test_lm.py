@@ -4,6 +4,8 @@ stack, checked against independent scalar (pure Python) oracles."""
 import copy
 import dataclasses
 import math
+import operator
+import pickle
 import re
 
 import numpy as np
@@ -19,6 +21,7 @@ from drnnsim.lm import (
     stack_forward_trace,
     zero_state,
 )
+from drnnsim.training import save_model
 
 # ---------------------------------------------------------------------------
 # Scalar oracles: plain Python floats and math functions, no numpy algebra
@@ -180,6 +183,19 @@ class TestLstmCell:
             assert np.all(np.abs(g) <= 1.0)
             assert np.all(np.abs(np.tanh(tr.c[1:])) <= 1.0)
 
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_keep_the_arrays_and_the_derived_sizes(self, clone):
+        layer = init_params(hidden=3, vocab=5, seed=1).layers[0]
+        copied = clone(layer)
+        for name in ("W", "U", "b") + lm.GATE_PARAM_FIELDS:
+            np.testing.assert_array_equal(getattr(copied, name), getattr(layer, name))
+        assert (copied.hidden, copied.input_dim) == (layer.hidden, layer.input_dim) == (3, 5)
+        # the per-gate names still view the copy's own fused arrays
+        assert np.shares_memory(copied.bf, copied.b) and not np.shares_memory(copied.b, layer.b)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copied.W = layer.W
+
     def test_shape_mismatch_is_an_error(self):
         layer = zero_layer(hidden=3, input_dim=4)
         with pytest.raises(ValueError):
@@ -244,6 +260,29 @@ class TestStackParams:
         sizes = {"hidden": 2, "vocab": 7, field: value}
         with pytest.raises(ValueError, match=f"^{field} {re.escape(message)}$"):
             lm.LstmStackParams(zero_params(2, 7).flat, **sizes)
+
+    @pytest.mark.parametrize("flat, got", [([0.0] * 10, "list"), ((0.0,) * 10, "tuple"), (None, "NoneType")],
+                             ids=["list", "tuple", "none"])
+    def test_constructor_rejects_a_buffer_that_is_not_an_array(self, flat, got):
+        with pytest.raises(ValueError, match=rf"^flat must be float64 of shape \(124,\), got {got}$"):
+            lm.LstmStackParams(flat, 2, 2)
+
+    @pytest.mark.parametrize("rebind, error", [
+        (lambda p: setattr(p.layers[2], "W", np.zeros_like(p.layers[2].W)), dataclasses.FrozenInstanceError),
+        (lambda p: setattr(p.layers[0], "U", np.zeros_like(p.layers[0].U)), dataclasses.FrozenInstanceError),
+        (lambda p: setattr(p.layers[2], "b", np.ones_like(p.layers[2].b)), dataclasses.FrozenInstanceError),
+        (lambda p: operator.setitem(p.layers, 0, zero_layer(p.hidden, p.vocab)), TypeError),
+    ], ids=["W", "U", "b", "layer"])
+    def test_layers_cannot_be_detached_from_the_buffer(self, tmp_path, rebind, error):
+        params = init_params(hidden=3, vocab=5, seed=2)
+        flat, (outputs, _) = params.flat.copy(), stack_forward(params, [1, 4, 0])
+        save_model(params, tmp_path / "before.drnn")
+        with pytest.raises(error):
+            rebind(params)
+        np.testing.assert_array_equal(params.flat, flat)
+        np.testing.assert_array_equal(stack_forward(params, [1, 4, 0])[0], outputs)
+        save_model(params, tmp_path / "after.drnn")
+        assert (tmp_path / "after.drnn").read_bytes() == (tmp_path / "before.drnn").read_bytes()
 
     def test_numpy_integer_sizes_are_stored_as_python_ints(self):
         params = lm.LstmStackParams(zero_params(2, 7).flat, np.int32(2), np.uint16(7))

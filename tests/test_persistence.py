@@ -1,6 +1,7 @@
 """Model container round-trip and corruption tests."""
 
 import hashlib
+import os
 import re
 import struct
 import tempfile
@@ -286,6 +287,23 @@ class TestCorruption:
         with pytest.raises(ValueError, match=r"^dtype must be one of \['f32', 'f64'\]$"):
             save_model(params, tmp_path / "x.drnn", dtype=dtype)
         assert not (tmp_path / "x.drnn").exists()
+
+    def test_a_model_path_that_is_not_a_str_or_path_is_refused_before_any_io(self):
+        params = lm.init_params(hidden=2, vocab=5, seed=0)
+        message = "^model path must be a str or os.PathLike, not {}$"
+        read_fd, write_fd = os.pipe()
+        try:
+            for path in (write_fd, 2.5):  # an int would be opened as a file descriptor, written and closed
+                with pytest.raises(ValueError, match=message.format(type(path).__name__)):
+                    save_model(params, path)
+            for path in (read_fd, True, b"model.drnn"):
+                with pytest.raises(ValueError, match=message.format(type(path).__name__)):
+                    load_model(path)
+            os.write(write_fd, b"still open")
+            assert os.read(read_fd, 64) == b"still open"  # nothing else was written into the pipe
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
 
     @pytest.mark.parametrize("name, value", [("V", 1e39), ("layer1.Ug", -3.5e38), ("layer0.bf", 1.7e308)])
     def test_f32_save_of_a_value_beyond_float32_leaves_no_file(self, tmp_path, name, value):
