@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lm import _check_int_fields, _check_positive_real
+from .lm import _check_int_fields, _check_positive_real, _rebuild
 
 # ---------------------------------------------------------------------------
 # Q(m,n) fixed-point formats
@@ -49,6 +49,8 @@ class FixedPointFormat:
         # (the lm._HS_SLOPE idiom). The range is the nominal Q(m,n) one, capped to the 16-bit operand width.
         vars(self).update(scale=scale, _scale_f64=np.array(float(scale)),
                           raw_min=max(-(1 << bits), _INT16_MIN), raw_max=min((1 << bits) - 1, _INT16_MAX))
+
+    __reduce__ = _rebuild
 
     @classmethod
     def parse(cls, text: str) -> "FixedPointFormat":
@@ -185,6 +187,8 @@ class AcceleratorConfig:
         if not math.isfinite(report.gops):
             raise ValueError(f"clock_mhz {self.clock_mhz} is too large: a batch's GOPS is not finite")
         vars(self).update(rows=rows, report=report)  # set once, as in FixedPointFormat
+
+    __reduce__ = _rebuild
 
 
 class MacArrayCore:

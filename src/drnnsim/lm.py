@@ -15,7 +15,7 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +50,11 @@ def softmax(z: np.ndarray) -> np.ndarray:
 GATES = ("f", "i", "o", "g")
 
 
+def _rebuild(self):
+    """``__reduce__`` of a frozen dataclass: a copy or pickle holds only its fields and reruns the constructor."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class LstmLayerParams:
     """One LSTM layer as three fused arrays, row blocks in gate order f, i, o, g.
@@ -75,6 +80,8 @@ class LstmLayerParams:
                 f"shapes W {self.W.shape}, U {self.U.shape}, b {self.b.shape} are not (4H, H), (4H, I), (4H,)"
             )
         vars(self).update(hidden=hidden, input_dim=self.U.shape[1])  # set once, past the frozen __setattr__
+
+    __reduce__ = _rebuild
 
 
 def _gate_block(fused: str, k: int) -> property:
@@ -113,9 +120,10 @@ def _table(shapes) -> tuple:  # ((shape, start, stop), ...) of consecutive array
     return tuple(zip(shapes, bounds, bounds[1:]))
 
 
-@functools.lru_cache(maxsize=64, typed=True)  # bounded: a long-lived process may load files of many shapes
+# Bounded: a long-lived process may load files of many shapes, and each gradient's k is a shape of its own.
+@functools.lru_cache(maxsize=64, typed=True)
 def param_layout(hidden: int, vocab: int, u0_cols: int) -> ParamLayout:
-    """The one layout table, computed once per shape, of a buffer whose layer-0 U is ``u0_cols`` wide (0: gradients)."""
+    """The one layout table, computed once per shape, of a buffer whose layer-0 U is ``u0_cols`` wide."""
     hidden, vocab, u0_cols = map(operator.index, (hidden, vocab, u0_cols))  # numpy integers become Python ints
     shapes = stack_shapes(hidden, vocab)
     shapes[1] = (4 * hidden, u0_cols)
@@ -123,13 +131,9 @@ def param_layout(hidden: int, vocab: int, u0_cols: int) -> ParamLayout:
     return ParamLayout(_table(shapes), _table(blocks), sum(map(math.prod, shapes)))
 
 
-def split_views(buffer: np.ndarray, table) -> list[np.ndarray]:
-    """The views of the 1-D ``buffer`` that a ``ParamLayout`` table names, in order."""
-    return [buffer[start:stop].reshape(shape) for shape, start, stop in table]
-
-
-def stack_parts(arrays) -> tuple[tuple[LstmLayerParams, ...], np.ndarray]:
-    """The ``(layers, V)`` of a ``stack_shapes``-ordered array list; ``layers`` is a tuple, so none can be swapped."""
+def stack_views(buffer: np.ndarray, hidden: int, vocab: int, u0_cols: int):
+    """The ``(layers, V)`` views of a 1-D ``buffer`` cut by ``param_layout(hidden, vocab, u0_cols)``."""
+    arrays = [buffer[start:stop].reshape(shape) for shape, start, stop in param_layout(hidden, vocab, u0_cols).arrays]
     return tuple(LstmLayerParams(*arrays[k:k + 3]) for k in range(0, 3 * N_LAYERS, 3)), arrays[-1]
 
 
@@ -146,16 +150,14 @@ class LstmStackParams:
 
     def __post_init__(self):
         _check_int_fields(self, 1, "hidden", "vocab")
-        arrays, _, size = param_layout(self.hidden, self.vocab, self.vocab)
-        flat = self.flat
+        size, flat = param_layout(self.hidden, self.vocab, self.vocab).size, self.flat
         if not isinstance(flat, np.ndarray) or flat.dtype != np.float64 or flat.shape != (size,):
             got = f"{flat.dtype} {flat.shape}" if isinstance(flat, np.ndarray) else type(flat).__name__
             raise ValueError(f"flat must be float64 of shape ({size},), got {got}")
-        layers, V = stack_parts(split_views(flat, arrays))
+        layers, V = stack_views(flat, self.hidden, self.vocab, self.vocab)
         vars(self).update(layers=layers, V=V)  # set once, past the frozen __setattr__
 
-    def __reduce__(self):
-        return type(self), (self.flat, self.hidden, self.vocab)
+    __reduce__ = _rebuild
 
 
 @dataclass

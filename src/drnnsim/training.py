@@ -23,10 +23,9 @@ from .lm import (
     _check_token_id,
     _layer_backward,
     param_layout,
-    split_views,
     stack_forward,
     stack_forward_trace,
-    stack_parts,
+    stack_views,
 )
 
 # Probability floor inside the loss so a zero-probability target cannot
@@ -85,7 +84,7 @@ def score_sentence(params: LstmStackParams, sentence) -> float:
 class Gradients:
     """Loss gradients, one array per parameter array, each a view of ``dense`` in its parameter's shape but one.
 
-    ``dense`` is laid out like ``LstmStackParams.flat`` without layer 0's ``U``, whose gradient is column-sparse:
+    ``dense`` is laid out by ``param_layout(hidden, vocab, k)``: layer 0's input gradient is column-sparse, so
     ``layers[0].U`` is 4H x k, its column j the gradient of ``params.layers[0].U[:, input_ids[j]]`` for the
     sentence's k distinct input tokens ``input_ids``, sorted; every other column of it is zero."""
 
@@ -115,9 +114,9 @@ def bptt_gradients(params: LstmStackParams, pair: TrainingPair):
     """
     outputs, traces = stack_forward_trace(params, pair.input)
     loss = sequence_loss(outputs, pair.label)
-    layout = param_layout(params.hidden, params.vocab, 0)  # layer 0's U: column-sparse, held outside the buffer
-    dense = np.empty(layout.size)
-    grad_layers, grad_V = stack_parts(split_views(dense, layout.arrays))
+    input_ids = np.array(sorted(set(pair.input)))  # np.unique's result, at a third of its cost
+    dense = np.empty(param_layout(params.hidden, params.vocab, len(input_ids)).size)
+    grad_layers, grad_V = stack_views(dense, params.hidden, params.vocab, len(input_ids))
 
     # Softmax + cross-entropy collapse to (p - onehot) at the logits.
     dz_out = np.array(outputs)
@@ -134,28 +133,29 @@ def bptt_gradients(params: LstmStackParams, pair: TrainingPair):
             dh_in = dZ @ layer.U
     # One-hot input: only the tokens' columns receive gradient. Each column
     # sums its dZ rows in sentence order, starting from 0.0.
-    input_ids = np.array(sorted(set(pair.input)))  # np.unique's result, at a third of its cost
-    grad_U0 = np.zeros((len(input_ids), dZ.shape[1]))
+    grad_U0 = grad_layers[0].U.T  # k x 4H: row j is column j of the 4H x k block
+    grad_U0.fill(0.0)
     np.add.at(grad_U0, np.searchsorted(input_ids, pair.input), dZ)
-    grad_layers = (LstmLayerParams(grad_layers[0].W, grad_U0.T, grad_layers[0].b),) + grad_layers[1:]
     return loss, Gradients(dense, grad_layers, grad_V, input_ids)
 
 
 def sgd_step(params: LstmStackParams, grads: Gradients, learning_rate: float) -> LstmStackParams:
     """In-place SGD update of the parameter buffer.
 
-    Both gradient buffers are checked before anything is touched, so a divergence error leaves the
-    parameters unmodified. Layer 0's input gradient only reaches the columns named by ``grads.input_ids``;
-    the columns it skips would have been updated by zero, which leaves a finite value unchanged.
+    The step, ``learning_rate`` times ``grads.dense``, is checked before anything is touched: a non-finite
+    gradient or an overflowing step raises DivergenceError and leaves the parameters unmodified. Layer 0's
+    input gradient reaches only the ``grads.input_ids`` columns; the rest would be updated by zero, a no-op.
     """
     _check_positive_real(learning_rate, "learning_rate")
-    if not (np.isfinite(grads.dense).all() and np.isfinite(grads.layers[0].U).all()):
+    with np.errstate(over="ignore"):  # an overflow is an infinite step, refused below
+        step = np.multiply(grads.dense, learning_rate)
+    if not np.isfinite(step).all():
         raise DivergenceError("diverged: non-finite gradient")
-    step, U0 = np.multiply(grads.dense, learning_rate), params.layers[0].U
-    split = params.layers[0].W.size  # layer 0's U follows its W in the layout
-    params.flat[:split] -= step[:split]
-    params.flat[split + U0.size:] -= step[split:]
-    U0[:, grads.input_ids] -= np.multiply(grads.layers[0].U, learning_rate)
+    U0, k = params.layers[0].U, len(grads.input_ids)
+    shape, start, stop = param_layout(params.hidden, params.vocab, k).arrays[1]  # layer 0's U block in the step
+    params.flat[:start] -= step[:start]
+    U0[:, grads.input_ids] -= step[start:stop].reshape(shape)
+    params.flat[start + U0.size:] -= step[stop:]
     return params
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from drnnsim import lm
+from drnnsim.accel import AcceleratorConfig, FixedPointFormat
 from drnnsim.lm import (
     LstmLayerParams,
     init_params,
@@ -287,6 +288,26 @@ class TestStackParams:
     def test_numpy_integer_sizes_are_stored_as_python_ints(self):
         params = lm.LstmStackParams(zero_params(2, 7).flat, np.int32(2), np.uint16(7))
         assert (type(params.hidden), type(params.vocab)) == (int, int)
+
+
+# Each frozen container whose other values are derived from its fields, and the names of those values.
+DERIVED_VALUES = {
+    "LstmLayerParams": (lambda: init_params(hidden=3, vocab=5, seed=1).layers[0], ("hidden", "input_dim")),
+    "LstmStackParams": (lambda: init_params(hidden=3, vocab=5, seed=1), ("layers", "V")),
+    "FixedPointFormat": (lambda: FixedPointFormat(8, 8), ("scale", "_scale_f64", "raw_min", "raw_max")),
+    "AcceleratorConfig": (AcceleratorConfig, ("rows", "report")),
+}
+
+
+@pytest.mark.parametrize("make, derived", DERIVED_VALUES.values(), ids=DERIVED_VALUES.keys())
+def test_a_pickle_holds_only_the_fields_and_rebuilds_the_rest(make, derived):
+    obj = make()
+    want = {name: repr(getattr(obj, name)) for name in derived}
+    for name in derived:
+        vars(obj)[name] = "tampered"  # a value the constructor never sets
+    data = pickle.dumps(obj)
+    assert b"tampered" not in data
+    assert {name: repr(getattr(pickle.loads(data), name)) for name in derived} == want
 
 
 class TestParamLayout:

@@ -235,6 +235,15 @@ class TestSgdStep:
         # failed update must not touch anything
         assert param_bytes(params) == before
 
+    def test_a_finite_gradient_whose_step_overflows_raises(self):
+        params = lm.init_params(hidden=2, vocab=4, seed=0)
+        before = param_bytes(params)
+        _, grads = bptt_gradients(params, TrainingPair(input=[1, 3, 1], label=[3, 1, 2]))
+        grads.V[0, 0] = 4.0  # finite, but 4.0 * 1e308 is not
+        with pytest.raises(DivergenceError, match="^diverged: non-finite gradient$"):
+            sgd_step(params, grads, learning_rate=1e308)
+        assert param_bytes(params) == before
+
     @pytest.mark.parametrize("learning_rate", [0.0, -0.1, np.nan, np.inf],
                              ids=["zero", "negative", "nan", "inf"])
     def test_bad_learning_rate_leaves_params_unchanged(self, learning_rate):
@@ -414,9 +423,18 @@ def test_gradient_layout_leaves_the_cached_parameter_layout_alone():
     before = lm.param_layout(3, 6, 6)
     _, grads = bptt_gradients(params, TrainingPair([3, 1, 4], [1, 4, 5]))
     assert lm.param_layout(3, 6, 6) is before and before.arrays[1][0] == (12, 6)
-    assert grads.dense.size == lm.param_layout(3, 6, 0).size == before.size - 12 * 6
+    assert grads.dense.size == lm.param_layout(3, 6, 3).size == before.size - 12 * 3
     assert grads.layers[0].U.shape == (12, 3)  # the sentence's three distinct input tokens
     assert lm.LstmStackParams(params.flat, 3, 6).layers[0].U.shape == (12, 6)
+
+
+def test_every_gradient_array_is_a_view_of_the_one_buffer():
+    params = lm.init_params(hidden=3, vocab=6, seed=0)
+    _, grads = bptt_gradients(params, TrainingPair([3, 1, 4, 1], [1, 4, 5, 2]))
+    named = named_arrays(grads)
+    assert len(named) == len(training.ARRAY_NAMES)
+    for name, arr in named.items():
+        assert np.shares_memory(arr, grads.dense), name
 
 
 def test_evaluate_rejects_an_empty_pair_list():
