@@ -80,6 +80,16 @@ def score_sentence(params: LstmStackParams, sentence) -> float:
 # Gradients
 # ---------------------------------------------------------------------------
 
+def _all_finite(buffer: np.ndarray) -> bool:
+    """Whether every entry of a 1-D float buffer is finite, in one BLAS pass and with no bool temporary.
+
+    A NaN or an infinity makes the sum of squares non-finite, so a finite sum proves the answer; a non-finite
+    one may be a finite buffer whose squares overflow, and falls through to the exact check."""
+    with np.errstate(over="ignore"):  # squares past ~1.3e154 overflow the screen, never the answer
+        screen = np.dot(buffer, buffer)
+    return math.isfinite(screen) or bool(np.isfinite(buffer).all())
+
+
 @dataclass
 class Gradients:
     """Loss gradients, one array per parameter array, each a view of ``dense`` in its parameter's shape but one.
@@ -149,7 +159,7 @@ def sgd_step(params: LstmStackParams, grads: Gradients, learning_rate: float) ->
     _check_positive_real(learning_rate, "learning_rate")
     with np.errstate(over="ignore"):  # an overflow is an infinite step, refused below
         step = np.multiply(grads.dense, learning_rate)
-    if not np.isfinite(step).all():
+    if not _all_finite(step):
         raise DivergenceError("diverged: non-finite gradient")
     U0, k = params.layers[0].U, len(grads.input_ids)
     shape, start, stop = param_layout(params.hidden, params.vocab, k).arrays[1]  # layer 0's U block in the step
@@ -317,8 +327,9 @@ def save_model(params: LstmStackParams, path, dtype: str = "f64") -> None:
 def load_model(path) -> LstmStackParams:
     """Read a container of the ``ARRAY_NAMES`` arrays, in that order, back into float64 parameters.
 
-    Every malformed file raises ModelFormatError. Headers, shapes (against V's topology) and finiteness are
-    checked on views of the file's bytes; the buffer is then one concatenation of them in file order, its layout.
+    Every malformed file raises ModelFormatError. Headers and shapes (against V's topology) are checked on views
+    of the file's bytes; the buffer is then one concatenation of them in file order, its layout, and its
+    finiteness one ``_all_finite`` check.
     """
     _check_model_path(path)
     data = Path(path).read_bytes()
@@ -370,8 +381,9 @@ def load_model(path) -> LstmStackParams:
     for name, arr, (want, _, _) in zip(ARRAY_NAMES, arrays, param_layout(hidden, vocab, vocab).blocks):
         if arr.shape != want:
             raise ModelFormatError(f"array {name} shape {arr.shape} != {want}")
-    # On the file's views, not the float64 buffer: an f32 file's views are half the bytes.
-    for name, arr in zip(ARRAY_NAMES, arrays):
-        if not np.isfinite(arr).all():
-            raise ModelFormatError(f"non-finite values in array {name}")
-    return LstmStackParams(np.concatenate(arrays, axis=None, dtype=np.float64), hidden, vocab)
+    flat = np.concatenate(arrays, axis=None, dtype=np.float64)
+    if not _all_finite(flat):  # the per-view loop runs only to name the first bad array
+        for name, arr in zip(ARRAY_NAMES, arrays):
+            if not np.isfinite(arr).all():
+                raise ModelFormatError(f"non-finite values in array {name}")
+    return LstmStackParams(flat, hidden, vocab)

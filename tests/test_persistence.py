@@ -5,6 +5,7 @@ import os
 import re
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from drnnsim import corpus, lm
 from drnnsim.training import (
+    ARRAY_NAMES,
     MODEL_MAGIC,
     ModelFormatError,
     TrainConfig,
@@ -323,3 +325,39 @@ class TestCorruption:
         path = tmp_path / "model.drnn"
         save_model(params, path, dtype="f32")
         assert load_model(path).V[0, 0] == float(np.finfo(np.float32).max)
+
+
+class TestFiniteness:
+    """The one whole-buffer screen in ``load_model`` and the per-array fallback that names the bad array."""
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("name", ARRAY_NAMES)
+    def test_a_non_finite_entry_names_its_array(self, tmp_path, name, dtype):
+        path = tmp_path / "model.drnn"
+        for bad in (np.nan, np.inf, -np.inf):
+            params = lm.init_params(hidden=3, vocab=6, seed=1)
+            named_arrays(params)[name].flat[-1] = bad
+            save_model(params, path, dtype=dtype)  # save writes a non-finite value as it is
+            with pytest.raises(ModelFormatError, match=f"^non-finite values in array {re.escape(name)}$"):
+                load_model(path)
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("later, earlier", [("V", "layer0.Wf"), ("layer2.bg", "layer1.Ui"), ("layer0.bg", "layer0.Uf")])
+    def test_of_two_non_finite_arrays_the_first_in_container_order_is_named(self, tmp_path, later, earlier, dtype):
+        params = lm.init_params(hidden=3, vocab=6, seed=1)
+        named_arrays(params)[later].flat[0] = np.nan
+        named_arrays(params)[earlier].flat[-1] = np.inf
+        path = tmp_path / "model.drnn"
+        save_model(params, path, dtype=dtype)
+        with pytest.raises(ModelFormatError, match=f"^non-finite values in array {re.escape(earlier)}$"):
+            load_model(path)
+
+    def test_finite_values_whose_squares_overflow_load_bit_exactly_without_a_warning(self, tmp_path):
+        params = lm.init_params(hidden=3, vocab=6, seed=1)
+        params.V[...] = 1e200  # the screen's sum of squares overflows: a false alarm the exact check clears
+        path = tmp_path / "model.drnn"
+        save_model(params, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_model(path)
+        assert loaded.flat.tobytes() == params.flat.tobytes()

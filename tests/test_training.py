@@ -244,6 +244,20 @@ class TestSgdStep:
             sgd_step(params, grads, learning_rate=1e308)
         assert param_bytes(params) == before
 
+    def test_a_finite_step_whose_squares_overflow_is_applied(self):
+        params = lm.init_params(hidden=2, vocab=4, seed=0)
+        _, grads = bptt_gradients(params, TrainingPair(input=[1, 3, 1], label=[3, 1, 2]))
+        grads.V[0, 0] = 1e200  # finite, but its square overflows the finiteness screen
+        expected = copy.deepcopy(params)  # flat - step, with layer 0's input step at the input_ids columns
+        for (name, p), g in zip(named_arrays(expected).items(), named_arrays(grads).values()):
+            if name.startswith("layer0.U"):
+                p[:, grads.input_ids] -= g
+            else:
+                p -= g
+        sgd_step(params, grads, learning_rate=1.0)
+        assert param_bytes(params) == param_bytes(expected)
+        assert params.V[0, 0] == -1e200
+
     @pytest.mark.parametrize("learning_rate", [0.0, -0.1, np.nan, np.inf],
                              ids=["zero", "negative", "nan", "inf"])
     def test_bad_learning_rate_leaves_params_unchanged(self, learning_rate):
@@ -435,6 +449,20 @@ def test_every_gradient_array_is_a_view_of_the_one_buffer():
     assert len(named) == len(training.ARRAY_NAMES)
     for name, arr in named.items():
         assert np.shares_memory(arr, grads.dense), name
+
+
+@pytest.mark.parametrize("values, finite", [
+    ([], True),
+    ([-0.0], True),
+    ([5e-324, 1e-310], True),  # subnormals: their squares underflow to 0
+    ([1e200, -1e200], True),  # the sum of squares overflows; the exact check clears it
+    ([1.0, np.nan], False),
+    ([np.inf, 1.0], False),
+    ([1.0, -np.inf], False),
+    ([1e200, np.nan], False),
+], ids=["empty", "negative-zero", "subnormal", "large", "nan", "inf", "minus-inf", "large-and-nan"])
+def test_all_finite(values, finite):
+    assert training._all_finite(np.array(values, dtype=np.float64)) is finite
 
 
 def test_evaluate_rejects_an_empty_pair_list():
