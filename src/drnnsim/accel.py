@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lm import _check_int_fields, _check_positive_real, _rebuild
+from .lm import _check_array, _check_int_fields, _check_positive_real, _rebuild
 
 # ---------------------------------------------------------------------------
 # Q(m,n) fixed-point formats
@@ -76,9 +76,7 @@ class FixedPointTensor:
     def from_real(cls, values, fmt: FixedPointFormat) -> "FixedPointTensor":
         if not isinstance(fmt, FixedPointFormat):
             raise ValueError(f"fmt must be a FixedPointFormat, not {type(fmt).__name__}")
-        values = np.asarray(values)
-        if values.dtype.kind not in "biuf":
-            raise ValueError(f"cannot quantize {values.dtype} values")
+        values = _check_array(values, "values", "biuf")
         raw = np.rint(np.multiply(values, fmt._scale_f64, dtype=np.float64))
         # Clip only when something is out of range. A NaN fails both comparisons, so it
         # gets here too; an empty array has no min or max, and clipping it is free.
@@ -119,8 +117,7 @@ def to_stream(values) -> np.ndarray:
     values = np.asarray(values)
     if not values.size:
         raise ValueError("cannot stream an empty batch")
-    if values.dtype.kind not in "biu":
-        raise ValueError(f"stream values must be integers, not {values.dtype}")
+    _check_array(values, "values", "biu")
     frame = np.zeros(values.size, dtype=PACKET)
     frame["payload"] = values.ravel().astype("<u4", copy=False)  # the integer cast keeps the low 32 bits
     frame["last"][-1] = True
@@ -209,10 +206,7 @@ class MacArrayCore:
 
     def load_weights(self, weights) -> None:
         """Latch a rows x chunk_len matrix of 16-bit signed weights."""
-        weights = np.asarray(weights)
-        expected = (self.config.rows, self.config.chunk_len)
-        if weights.shape != expected:
-            raise ValueError(f"weight shape {weights.shape} != {expected}")
+        weights = _check_array(weights, "weights", "biu", (self.config.rows, self.config.chunk_len))
         _check_operand_range(weights, "weight")
         self._weights = weights.astype(np.int64)  # astype copies
 
@@ -226,9 +220,7 @@ class MacArrayCore:
         """
         if self._weights is None:
             raise RuntimeError("weights not loaded")
-        x = np.asarray(x)
-        if x.shape != (self.config.chunk_len,):
-            raise ValueError(f"input shape {x.shape} != ({self.config.chunk_len},)")
+        x = _check_array(x, "x", "biu", (self.config.chunk_len,))
         _check_operand_range(x, "input")
         return self._weights @ x.astype(np.int64, copy=False)
 
@@ -270,8 +262,7 @@ def matvec_fixed(core: MacArrayCore, w_real, x_real, fmt: FixedPointFormat) -> n
 
 
 def _check_operand_range(values: np.ndarray, label: str) -> None:
-    if values.dtype.kind not in "biu":
-        raise ValueError(f"{label} values must be integers, not {values.dtype}")
+    """The 16-bit signed range of an integer operand array that passed ``_check_array``."""
     if values.size and (
         np.minimum.reduce(values, None) < _INT16_MIN or np.maximum.reduce(values, None) > _INT16_MAX
     ):

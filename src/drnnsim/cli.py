@@ -149,13 +149,11 @@ def cmd_eval(args) -> int:
 
 def cmd_generate(args) -> int:
     params, vocab = _load_model_and_vocab(args)
-    if args.max_len < 1:
-        raise ValueError("max-len must be >= 1")
     rng = np.random.default_rng(lm._check_int(args.seed, "seed", 0))
     state = lm.zero_state(params)
     token = corpus.start_token_id(vocab.size)
     words = []
-    for _ in range(args.max_len):
+    for _ in range(lm._check_int(args.max_len, "max-len", 1)):
         probs, state = lm.stack_step(params, token, state)
         token = int(np.argmax(probs)) if args.greedy else int(rng.choice(params.vocab, p=probs))
         if token == corpus.end_token_id(vocab.size):
@@ -169,13 +167,11 @@ def cmd_accel_bench(args) -> int:
     config = accel.AcceleratorConfig(
         num_pes=args.pes, lanes_per_pe=args.lanes, clock_mhz=args.clock_mhz
     )
-    if args.batches < 1:
-        raise ValueError("batches must be >= 1")
     # Every batch takes the same time whatever its operands, so each row is the config's report.
     report = config.report
     row = f"{report.mult_ops},{report.add_ops},{report.latency_cycles},{report.latency_ns:.17g},{report.gops:.17g}"
     lines = ["batch,mult_ops,add_ops,latency_cycles,latency_ns,gops"]
-    lines += [f"{batch},{row}" for batch in range(1, args.batches + 1)]
+    lines += [f"{batch},{row}" for batch in range(1, lm._check_int(args.batches, "batches", 1) + 1)]
     trace = "\n".join(lines) + "\n"
     print(f"{config.num_pes} PEs x {config.lanes_per_pe} lanes, "
           f"{config.chunk_len} operands/batch @ {config.clock_mhz:g} MHz")

@@ -3,7 +3,6 @@ and shifted input/label token pairs for next-word training."""
 
 from __future__ import annotations
 
-import math
 import re
 import unicodedata
 from collections import Counter
@@ -105,10 +104,7 @@ def build_vocab(sentences: list[list[str]], max_words: int = DEFAULT_VOCAB_BUDGE
     Ties between equally frequent words are broken by first occurrence in
     the corpus, which makes the vocabulary deterministic.
     """
-    # The integer rule without its floor: a budget below 1 keeps its own message.
-    max_words = _check_int(max_words, "max_words", -math.inf)
-    if max_words < 1:
-        raise ValueError("empty vocabulary: max_words must be >= 1")
+    max_words = _check_int(max_words, "max_words", 1)
     counts = Counter(w for sentence in sentences for w in sentence)
     # Counter iterates in first-seen order, and most_common is a stable
     # sort on the counts, which gives the first-occurrence tie-break.

@@ -16,7 +16,7 @@ from .accel import (
     matvec_fixed,
     stream_roundtrip,
 )
-from .lm import LstmLayerParams, _check_token_id
+from .lm import LstmLayerParams, _check_array, _check_token_id
 
 # Externally published baseline figures, used for ratio comparison only
 # (never measured here). The first is a fixed-point LSTM-cell accelerator,
@@ -63,6 +63,8 @@ def golden_test(core: MacArrayCore | None = None) -> GoldenResult:
     if core is None:
         core = MacArrayCore()
         core.load_weights(golden_weight_matrix(core.config))
+    elif not isinstance(core, MacArrayCore):
+        raise ValueError(f"core must be a MacArrayCore or None, not {type(core).__name__}")
     config = core.config
     x = golden_input(config)
     hardware = [int(v) for v in stream_roundtrip(core, x)]
@@ -103,14 +105,11 @@ def offload_gate_preactivation(
     input term is a host-side column pick of U (zero multiplies), and the
     bias is added on the host. Returns the accelerated result, the float64
     reference, the observed max error, and the analytic quantization bound.
-    ``h_prev`` must have a bool, int or float dtype, else ValueError.
+    ``h_prev`` must pass ``_check_array`` as a real (H,) array, else ValueError; it is read as float64.
     """
     core = MacArrayCore(config)
     _check_token_id(x_id, layer.input_dim)
-    h_prev = np.asarray(h_prev)
-    if h_prev.dtype.kind not in "biuf":  # stack_step's state rule; a complex part must not be dropped
-        raise ValueError(f"h_prev has dtype {h_prev.dtype}, expected bool, int or float")
-    h_prev = h_prev.astype(np.float64, copy=False)
+    h_prev = _check_array(h_prev, "h_prev", "biuf", (layer.hidden,)).astype(np.float64, copy=False)
 
     recurrent_term = matvec_fixed(core, layer.Wf, h_prev, fmt)
     host_term = layer.Uf[:, x_id] + layer.bf

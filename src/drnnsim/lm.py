@@ -14,7 +14,6 @@ import functools
 import itertools
 import math
 import numbers
-import operator
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -73,7 +72,11 @@ class LstmLayerParams:
     b: np.ndarray
 
     def __post_init__(self):
-        hidden = self.b.shape[0] // 4
+        for name, value in (("W", self.W), ("U", self.U), ("b", self.b)):  # checked, not cast: views of flat stay
+            if not isinstance(value, np.ndarray):
+                raise ValueError(f"{name} must be a numpy array, not {type(value).__name__}")
+            _check_array(value, name, "biuf")
+        hidden = self.b.size // 4
         rows = 4 * hidden
         if self.b.shape != (rows,) or self.W.shape != (rows, hidden) or self.U.ndim != 2 or len(self.U) != rows:
             raise ValueError(
@@ -120,11 +123,14 @@ def _table(shapes) -> tuple:  # ((shape, start, stop), ...) of consecutive array
     return tuple(zip(shapes, bounds, bounds[1:]))
 
 
-# Bounded: a long-lived process may load files of many shapes, and each gradient's k is a shape of its own.
-@functools.lru_cache(maxsize=64, typed=True)
 def param_layout(hidden: int, vocab: int, u0_cols: int) -> ParamLayout:
     """The one layout table, computed once per shape, of a buffer whose layer-0 U is ``u0_cols`` wide."""
-    hidden, vocab, u0_cols = map(operator.index, (hidden, vocab, u0_cols))  # numpy integers become Python ints
+    return _layout(_check_int(hidden, "hidden", 1), _check_int(vocab, "vocab", 1), _check_int(u0_cols, "u0_cols", 1))
+
+
+# Bounded: a long-lived process may load files of many shapes, and each gradient's k is a shape of its own.
+@functools.lru_cache(maxsize=64)
+def _layout(hidden: int, vocab: int, u0_cols: int) -> ParamLayout:
     shapes = stack_shapes(hidden, vocab)
     shapes[1] = (4 * hidden, u0_cols)
     blocks = [(rows // 4, *cols) for rows, *cols in shapes[:-1] for _ in GATES] + shapes[-1:]
@@ -201,12 +207,16 @@ def _cell(layer: LstmLayerParams, x_term, h_prev, c_prev, out) -> None:
 
 
 def lstm_cell_forward(layer: LstmLayerParams, x, h_prev: np.ndarray, c_prev: np.ndarray):
-    """One LSTM cell step on a token id or an input vector ``x``; returns fresh (h, c)."""
+    """One cell step on a token id or real (I,) vector ``x`` from real (H,) ``h_prev``, ``c_prev``; fresh (h, c)."""
     if np.ndim(x) == 0:
         _check_token_id(x, layer.input_dim)
+        x_term = layer.U[:, x]  # a one-hot input reduces U @ x to a column pick
+    else:
+        x_term = layer.U @ _check_array(x, "x", "biuf", (layer.input_dim,)).astype(np.float64, copy=False)
+    h_prev = _check_array(h_prev, "h_prev", "biuf", (layer.hidden,)).astype(np.float64, copy=False)
+    c_prev = _check_array(c_prev, "c_prev", "biuf", (layer.hidden,)).astype(np.float64, copy=False)
     h, c, act = np.empty(layer.hidden), np.empty(layer.hidden), np.empty(4 * layer.hidden)
-    # a one-hot input reduces U @ x to a column pick
-    _cell(layer, layer.U[:, x] if np.ndim(x) == 0 else layer.U @ x, h_prev, c_prev, (h, c, act))
+    _cell(layer, x_term, h_prev, c_prev, (h, c, act))
     return h, c
 
 
@@ -301,19 +311,16 @@ def stack_forward(params: LstmStackParams, input_ids):
 def stack_step(params: LstmStackParams, x_id: int, state: LstmState):
     """Advance the stack by one token; returns (output distribution, new state), ``state`` untouched.
 
-    ``state.h`` and ``state.c`` must each have shape (N_LAYERS, H) and a
-    bool, int or float dtype, else ValueError; they are read as float64.
+    ``state`` must be an ``LstmState`` whose ``h`` and ``c`` pass
+    ``_check_array`` as real (N_LAYERS, H) arrays, else ValueError; they are read as float64.
     """
     _check_token_id(x_id, params.vocab)
-    want, h_rows, c_rows = (N_LAYERS, params.hidden), np.asarray(state.h), np.asarray(state.c)
-    if h_rows.shape != want or c_rows.shape != want:
-        raise ValueError(f"state has h shape {h_rows.shape} and c shape {c_rows.shape}, expected {want} each")
-    if h_rows.dtype.kind not in "biuf" or c_rows.dtype.kind not in "biuf":
-        raise ValueError(
-            f"state has h dtype {h_rows.dtype} and c dtype {c_rows.dtype}, expected bool, int or float each"
-        )
+    if not isinstance(state, LstmState):
+        raise ValueError(f"state must be an LstmState, not {type(state).__name__}")
     # One read as float64 for every accepted dtype (an extended float included); a float64 state is not copied.
-    h_rows, c_rows = h_rows.astype(np.float64, copy=False), c_rows.astype(np.float64, copy=False)
+    want = (N_LAYERS, params.hidden)
+    h_rows = _check_array(state.h, "state.h", "biuf", want).astype(np.float64, copy=False)
+    c_rows = _check_array(state.c, "state.c", "biuf", want).astype(np.float64, copy=False)
     new, act, x_term = zero_state(params), np.empty(4 * params.hidden), np.empty(4 * params.hidden)
     x = x_id
     for l, (layer, h_prev, c_prev, h, c) in enumerate(zip(params.layers, h_rows, c_rows, new.h, new.c)):
@@ -353,6 +360,20 @@ def _check_int(value, name: str, least) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+_KIND_NAMES = {"biuf": "bool, int or float", "biu": "bool or int"}
+
+
+def _check_array(value, name: str, kinds: str, shape=None) -> np.ndarray:
+    """The one array rule: ``np.asarray(value)``, its dtype kind in ``kinds`` (real "biuf" or integer "biu")
+    and its shape exactly ``shape`` if one is given, else ValueError naming it; returns the array, not cast."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in kinds:
+        raise ValueError(f"{name} has dtype {arr.dtype}, expected {_KIND_NAMES[kinds]}")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    return arr
 
 
 def _check_int_fields(obj, least: int, *names: str) -> None:

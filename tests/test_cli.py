@@ -225,7 +225,7 @@ class TestGenerate:
         model, vocab_out = self.setup_model(tmp_path, corpus_file)
         capsys.readouterr()
         assert main(["generate", str(model), "--vocab", str(vocab_out), "--max-len", "0"]) == 2
-        assert capsys.readouterr().err == "error: max-len must be >= 1\n"
+        assert capsys.readouterr().err == "error: max-len must be >= 1, got 0\n"
 
     def test_greedy_mode(self, tmp_path, corpus_file, capsys):
         model, vocab_out = self.setup_model(tmp_path, corpus_file)
@@ -296,7 +296,7 @@ class TestAccelBench:
 
     def test_zero_batches_fails(self, capsys):
         assert main(["accel-bench", "--batches", "0"]) == 2
-        assert capsys.readouterr().err == "error: batches must be >= 1\n"
+        assert capsys.readouterr().err == "error: batches must be >= 1, got 0\n"
 
     def test_deterministic_trace(self, tmp_path):
         traces = []

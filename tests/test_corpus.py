@@ -83,7 +83,7 @@ class TestBuildVocab:
         assert vocab.size == 4  # 1 word + 3 specials
 
     def test_zero_budget_is_an_error(self):
-        with pytest.raises(ValueError, match="empty vocabulary"):
+        with pytest.raises(ValueError, match="^max_words must be >= 1, got 0$"):
             build_vocab([["a"]], max_words=0)
 
     @pytest.mark.parametrize("max_words", [2.5, True, "3", None], ids=repr)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from drnnsim import lm
-from drnnsim.accel import FixedPointFormat, MacArrayCore
+from drnnsim.accel import AcceleratorConfig, FixedPointFormat, MacArrayCore
 from drnnsim.cosim import (
     BASELINE_FIXED_LSTM_GOPS,
     BASELINE_FLOAT32_LSTM_GFLOPS,
@@ -47,6 +47,11 @@ class TestGoldenTest:
         assert expected == 1275 * 14
         assert got == expected + golden_input(core.config)[7]
 
+    @pytest.mark.parametrize("core", ["x", 0, AcceleratorConfig()], ids=["str", "int", "config"])
+    def test_core_must_be_a_mac_array_core(self, core):
+        with pytest.raises(ValueError, match=f"^core must be a MacArrayCore or None, not {type(core).__name__}$"):
+            golden_test(core=core)
+
     def test_str_rendering(self):
         assert "PASS" in str(golden_test())
 
@@ -66,6 +71,8 @@ class TestOffload:
 
     def test_zero_state_reduces_to_column_plus_bias(self):
         layer = self.make_layer(seed=1)
+        layer.b[:] = np.random.default_rng(1).uniform(-1.0, 1.0, layer.b.size)  # init_params sets every bias to 0
+        assert layer.bf.all()
         result = offload_gate_preactivation(layer, np.zeros(50), 3, Q88)
         np.testing.assert_array_equal(result.accel, layer.Uf[:, 3] + layer.bf)
         np.testing.assert_array_equal(result.accel, result.float_ref)
@@ -89,7 +96,7 @@ class TestOffload:
 
     def test_dimension_mismatch(self):
         layer = self.make_layer(seed=2, hidden=32)
-        with pytest.raises(ValueError, match=r"^weight shape \(32, 32\) != \(50, 50\)$"):
+        with pytest.raises(ValueError, match=r"^weights has shape \(32, 32\), expected \(50, 50\)$"):
             offload_gate_preactivation(layer, np.zeros(32), 0, Q88)
 
     @pytest.mark.parametrize("x_id", [-1, 200, 10**6])

@@ -145,6 +145,48 @@ class TestLstmCell:
         with pytest.raises(ValueError, match=r"are not \(4H, H\), \(4H, I\), \(4H,\)"):
             LstmLayerParams(W=np.zeros(W_shape), U=np.zeros(U_shape), b=np.zeros(b_shape))
 
+    @pytest.mark.parametrize("bad, message", [
+        (lambda a: a.tolist(), "must be a numpy array, not list"),
+        (lambda a: tuple(a), "must be a numpy array, not tuple"),
+        (lambda a: a.astype(complex), "has dtype complex128, expected bool, int or float"),
+        (lambda a: a.astype(object), "has dtype object, expected bool, int or float"),
+    ], ids=["list", "tuple", "complex", "object"])
+    @pytest.mark.parametrize("field", ["W", "U", "b"])
+    def test_constructor_checks_each_field_by_the_array_rule(self, field, bad, message):
+        arrays = {"W": np.zeros((12, 3)), "U": np.zeros((12, 4)), "b": np.zeros(12)}
+        arrays[field] = bad(arrays[field])
+        with pytest.raises(ValueError, match=f"^{field} {message}$"):
+            LstmLayerParams(**arrays)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, bool])
+    def test_constructor_keeps_real_arrays_unconverted(self, dtype):
+        arrays = {"W": np.ones((12, 3), dtype), "U": np.ones((12, 4), dtype), "b": np.ones(12, dtype)}
+        layer = LstmLayerParams(**arrays)
+        assert all(getattr(layer, name) is arr for name, arr in arrays.items())
+
+    @pytest.mark.parametrize("arg, value, message", [
+        ("h_prev", np.zeros(3, dtype=complex), "h_prev has dtype complex128, expected bool, int or float"),
+        ("c_prev", np.zeros(3, dtype=object), "c_prev has dtype object, expected bool, int or float"),
+        ("x", np.zeros(4, dtype=complex), "x has dtype complex128, expected bool, int or float"),
+        ("c_prev", np.zeros((3, 1)), "c_prev has shape (3, 1), expected (3,)"),
+        ("x", np.zeros(5), "x has shape (5,), expected (4,)"),
+        ("x", np.zeros((1, 4)), "x has shape (1, 4), expected (4,)"),
+    ], ids=["complex-h", "object-c", "complex-x", "rank-2-c", "long-x", "rank-2-x"])  # a short h_prev: below
+    def test_arguments_follow_the_array_rule(self, arg, value, message):
+        layer = zero_layer(hidden=3, input_dim=4)
+        args = {"x": np.zeros(4), "h_prev": np.zeros(3), "c_prev": np.zeros(3), arg: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lstm_cell_forward(layer, **args)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, bool, np.longdouble])
+    def test_real_arguments_step_as_their_float64_values(self, dtype):
+        rng = np.random.default_rng(14)
+        layer = init_params(hidden=3, vocab=5, seed=14).layers[1]  # a layer above 0 reads a vector x
+        x, h_prev, c_prev = (rng.normal(size=3).astype(dtype) for _ in range(3))
+        got = lstm_cell_forward(layer, x, h_prev, c_prev)
+        want = lstm_cell_forward(layer, x.astype(float), h_prev.astype(float), c_prev.astype(float))
+        np.testing.assert_array_equal(got, want)
+
     def test_zero_weights_halve_the_cell(self):
         layer = zero_layer(hidden=3, input_dim=4)
         v = np.array([0.4, -1.2, 2.0])
@@ -199,7 +241,7 @@ class TestLstmCell:
 
     def test_shape_mismatch_is_an_error(self):
         layer = zero_layer(hidden=3, input_dim=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^h_prev has shape \(2,\), expected \(3,\)$"):
             lstm_cell_forward(layer, np.zeros(4), np.zeros(2), np.zeros(3))
 
 
@@ -338,8 +380,20 @@ class TestParamLayout:
             layout.arrays[1] = ((16, 0), 0, 0)
 
     def test_a_float_size_is_refused(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^hidden must be an integer, got 3.0$"):
             lm.param_layout(3.0, 5, 5)
+
+    @pytest.mark.parametrize("sizes, message", [
+        ((3, 5.0, 5), "vocab must be an integer, got 5.0"),
+        ((3, 5, [5]), "u0_cols must be an integer, got [5]"),  # not hashed: the check runs before the cache
+        ((True, 5, 5), "hidden must be an integer, got True"),
+        ((0, 5, 5), "hidden must be >= 1, got 0"),
+        ((3, 5, -1), "u0_cols must be >= 1, got -1"),
+    ], ids=["float-vocab", "list", "bool", "zero", "negative"])
+    def test_every_size_follows_the_integer_rule(self, sizes, message):
+        lm.param_layout(3, 5, 5)  # a cached equal key (3 == 3.0 == True) must not satisfy the check
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lm.param_layout(*sizes)
 
 
 class TestStackForward:
@@ -570,34 +624,43 @@ class TestStackStep:
         with pytest.raises(ValueError):
             lm.stack_step(params, ids[0], lm.LstmState([*state0.h[:2], np.zeros(5)], list(state0.c)))
 
+    @pytest.mark.parametrize("state, got", [
+        (None, "NoneType"), ((np.zeros((3, 4)), np.zeros((3, 4))), "tuple"), ({"h": 0, "c": 0}, "dict"),
+    ], ids=["none", "tuple", "dict"])
+    def test_rejects_a_state_that_is_not_an_lstm_state(self, state, got):
+        params, ids, _ = schedule_case(4, 8)
+        with pytest.raises(ValueError, match=f"^state must be an LstmState, not {got}$"):
+            lm.stack_step(params, ids[0], state)
+
     @pytest.mark.parametrize("x_id", [-1, 8, 100])
     def test_rejects_out_of_range_id(self, x_id):
         params, _, state0 = schedule_case(4, 8)
         with pytest.raises(ValueError):
             lm.stack_step(params, x_id, state0)
 
-    @pytest.mark.parametrize("malform, h_shape, c_shape", [
-        (lambda s: lm.LstmState(s.h[:2], s.c[:2]), (2, 4), (2, 4)),
-        (lambda s: lm.LstmState(np.vstack((s.h, s.h[:1])), np.vstack((s.c, s.c[:1]))), (4, 4), (4, 4)),
-        (lambda s: lm.LstmState(s.h, s.c[:2]), (3, 4), (2, 4)),
-        (lambda s: lm.LstmState(s.h, s.c[:, :1]), (3, 4), (3, 1)),
-        (lambda s: lm.LstmState(s.h[:, None], s.c), (3, 1, 4), (3, 4)),  # each layer's h has rank 2
-        (lambda s: lm.LstmState(list(s.h[:2]), s.c), (2, 4), (3, 4)),  # a list's shape is read as an array's
+    @pytest.mark.parametrize("malform, name, shape", [  # h is checked before c
+        (lambda s: lm.LstmState(s.h[:2], s.c[:2]), "state.h", (2, 4)),
+        (lambda s: lm.LstmState(np.vstack((s.h, s.h[:1])), np.vstack((s.c, s.c[:1]))), "state.h", (4, 4)),
+        (lambda s: lm.LstmState(s.h, s.c[:2]), "state.c", (2, 4)),
+        (lambda s: lm.LstmState(s.h, s.c[:, :1]), "state.c", (3, 1)),
+        (lambda s: lm.LstmState(s.h[:, None], s.c), "state.h", (3, 1, 4)),  # each layer's h has rank 2
+        (lambda s: lm.LstmState(list(s.h[:2]), s.c), "state.h", (2, 4)),  # a list's shape is read as an array's
     ], ids=["2-layers", "4-layers", "3h-2c", "c-width-1", "h-rank-2", "h-list"])
-    def test_rejects_a_malformed_state(self, malform, h_shape, c_shape):
+    def test_rejects_a_malformed_state(self, malform, name, shape):
         params, ids, state0 = schedule_case(4, 8)
-        message = f"state has h shape {h_shape} and c shape {c_shape}, expected (3, 4) each"
+        message = f"{name} has shape {shape}, expected (3, 4)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lm.stack_step(params, ids[0], malform(state0))
 
-    @pytest.mark.parametrize("h_dtype, c_dtype", [
-        (np.float64, np.complex128), (np.float64, object), ("<U1", np.float64), (np.complex128, np.float64),
+    @pytest.mark.parametrize("h_dtype, c_dtype, name", [
+        (np.float64, np.complex128, "state.c"), (np.float64, object, "state.c"), ("<U1", np.float64, "state.h"),
+        (np.complex128, np.float64, "state.h"),
     ], ids=["complex-c", "object-c", "str-h", "complex-h"])
-    def test_rejects_a_state_that_is_not_real(self, h_dtype, c_dtype):
+    def test_rejects_a_state_that_is_not_real(self, h_dtype, c_dtype, name):
         params, ids, _ = schedule_case(4, 8)
         state = lm.LstmState(np.zeros((3, 4)).astype(h_dtype), np.zeros((3, 4)).astype(c_dtype))
-        h_dtype, c_dtype = np.dtype(h_dtype), np.dtype(c_dtype)
-        message = f"state has h dtype {h_dtype} and c dtype {c_dtype}, expected bool, int or float each"
+        bad = np.dtype(c_dtype if name == "state.c" else h_dtype)
+        message = f"{name} has dtype {bad}, expected bool, int or float"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lm.stack_step(params, ids[0], state)
 

@@ -342,6 +342,9 @@ class TestTrain:
         # 30 steps -> interval records at steps 10, 20, 30 plus 3 epoch records
         assert [r.step for r in log.records if r.kind == "interval"] == [10, 20, 30]
         assert [r.step for r in log.epoch_records()] == [10, 20, 30]
+        # each interval window is its epoch's 10 sentences, summed in the same order
+        intervals = [r.mean_loss for r in log.records if r.kind == "interval"]
+        assert intervals == [r.mean_loss for r in log.epoch_records()]
 
     def test_divergence_aborts_with_step_index(self):
         # the saturating activations and the loss floor make organic
