@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lm import _check_array, _check_int_fields, _check_positive_real, _rebuild
+from .lm import _check_array, _check_int_fields, _check_positive_real, _check_type, _rebuild
 
 # ---------------------------------------------------------------------------
 # Q(m,n) fixed-point formats
@@ -74,8 +74,7 @@ class FixedPointTensor:
 
     @classmethod
     def from_real(cls, values, fmt: FixedPointFormat) -> "FixedPointTensor":
-        if not isinstance(fmt, FixedPointFormat):
-            raise ValueError(f"fmt must be a FixedPointFormat, not {type(fmt).__name__}")
+        _check_type(fmt, "fmt", FixedPointFormat, "a FixedPointFormat")
         values = _check_array(values, "values", "biuf")
         raw = np.rint(np.multiply(values, fmt._scale_f64, dtype=np.float64))
         # Clip only when something is out of range. A NaN fails both comparisons, so it
@@ -199,9 +198,7 @@ class MacArrayCore:
     def __init__(self, config: AcceleratorConfig | None = None):
         if config is None:
             config = AcceleratorConfig()
-        elif not isinstance(config, AcceleratorConfig):
-            raise ValueError(f"config must be an AcceleratorConfig or None, not {type(config).__name__}")
-        self.config = config
+        self.config = _check_type(config, "config", AcceleratorConfig, "an AcceleratorConfig or None")
         self._weights: np.ndarray | None = None
 
     def load_weights(self, weights) -> None:

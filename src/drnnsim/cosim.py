@@ -16,7 +16,7 @@ from .accel import (
     matvec_fixed,
     stream_roundtrip,
 )
-from .lm import LstmLayerParams, _check_array, _check_token_id
+from .lm import LstmLayerParams, _check_array, _check_token_id, _check_type
 
 # Externally published baseline figures, used for ratio comparison only
 # (never measured here). The first is a fixed-point LSTM-cell accelerator,
@@ -63,8 +63,7 @@ def golden_test(core: MacArrayCore | None = None) -> GoldenResult:
     if core is None:
         core = MacArrayCore()
         core.load_weights(golden_weight_matrix(core.config))
-    elif not isinstance(core, MacArrayCore):
-        raise ValueError(f"core must be a MacArrayCore or None, not {type(core).__name__}")
+    _check_type(core, "core", MacArrayCore, "a MacArrayCore or None")
     config = core.config
     x = golden_input(config)
     hardware = [int(v) for v in stream_roundtrip(core, x)]
@@ -108,7 +107,7 @@ def offload_gate_preactivation(
     ``h_prev`` must pass ``_check_array`` as a real (H,) array, else ValueError; it is read as float64.
     """
     core = MacArrayCore(config)
-    _check_token_id(x_id, layer.input_dim)
+    _check_token_id(x_id, _check_type(layer, "layer", LstmLayerParams, "an LstmLayerParams").input_dim)
     h_prev = _check_array(h_prev, "h_prev", "biuf", (layer.hidden,)).astype(np.float64, copy=False)
 
     recurrent_term = matvec_fixed(core, layer.Wf, h_prev, fmt)

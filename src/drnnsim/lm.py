@@ -47,6 +47,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 GATES = ("f", "i", "o", "g")
+_FLOAT64 = np.dtype(np.float64)  # a dtype, not the type: comparing with np.float64 converts it on every call
 
 
 def _rebuild(self):
@@ -59,12 +60,12 @@ class LstmLayerParams:
     """One LSTM layer as three fused arrays, row blocks in gate order f, i, o, g.
 
     ``W`` is 4H x H (recurrent), ``U`` is 4H x I (input), ``b`` has 4H
-    entries; ``hidden`` (H) and ``input_dim`` (I) are set at construction.
-    The layer is frozen, so no array can be rebound away from a stack's
-    ``flat``. The per-gate names ``Wf`` ... ``bg`` are read-only attributes
-    whose values are views of the blocks: in-place writes through them
-    (``layer.bf[...] += 1``) reach the fused storage, and they stay aliased
-    after ``copy.deepcopy`` because they are derived on access.
+    entries, each a real ``np.ndarray`` no wider than float64; ``hidden`` (H)
+    and ``input_dim`` (I) are set at construction. The layer is frozen, so no
+    array can be rebound away from a stack's ``flat``. The per-gate names
+    ``Wf`` ... ``bg`` are read-only properties whose values are views of the
+    blocks (``layer.bf[...] += 1`` reaches the fused storage), derived on
+    access so that construction builds no 12 views per layer.
     """
 
     W: np.ndarray
@@ -73,9 +74,9 @@ class LstmLayerParams:
 
     def __post_init__(self):
         for name, value in (("W", self.W), ("U", self.U), ("b", self.b)):  # checked, not cast: views of flat stay
-            if not isinstance(value, np.ndarray):
-                raise ValueError(f"{name} must be a numpy array, not {type(value).__name__}")
-            _check_array(value, name, "biuf")
+            arr = _check_array(_check_type(value, name, np.ndarray, "a numpy array"), name, "biuf")
+            if np.promote_types(arr.dtype, _FLOAT64) != _FLOAT64:  # an extended float fails in _cell's np.dot
+                raise ValueError(f"{name} has dtype {arr.dtype}, wider than float64")
         hidden = self.b.size // 4
         rows = 4 * hidden
         if self.b.shape != (rows,) or self.W.shape != (rows, hidden) or self.U.ndim != 2 or len(self.U) != rows:
@@ -208,6 +209,7 @@ def _cell(layer: LstmLayerParams, x_term, h_prev, c_prev, out) -> None:
 
 def lstm_cell_forward(layer: LstmLayerParams, x, h_prev: np.ndarray, c_prev: np.ndarray):
     """One cell step on a token id or real (I,) vector ``x`` from real (H,) ``h_prev``, ``c_prev``; fresh (h, c)."""
+    _check_type(layer, "layer", LstmLayerParams, "an LstmLayerParams")
     if np.ndim(x) == 0:
         _check_token_id(x, layer.input_dim)
         x_term = layer.U[:, x]  # a one-hot input reduces U @ x to a column pick
@@ -290,6 +292,7 @@ def stack_forward_trace(params: LstmStackParams, input_ids):
     one starts, the mirror of the backward pass. Returns (outputs, traces):
     the softmax output per step and one LayerTrace per layer.
     """
+    _check_type(params, "params", LstmStackParams, "an LstmStackParams")
     ids = list(input_ids)
     if not ids:
         raise ValueError("input sequence is empty")
@@ -314,9 +317,8 @@ def stack_step(params: LstmStackParams, x_id: int, state: LstmState):
     ``state`` must be an ``LstmState`` whose ``h`` and ``c`` pass
     ``_check_array`` as real (N_LAYERS, H) arrays, else ValueError; they are read as float64.
     """
-    _check_token_id(x_id, params.vocab)
-    if not isinstance(state, LstmState):
-        raise ValueError(f"state must be an LstmState, not {type(state).__name__}")
+    _check_token_id(x_id, _check_type(params, "params", LstmStackParams, "an LstmStackParams").vocab)
+    _check_type(state, "state", LstmState, "an LstmState")
     # One read as float64 for every accepted dtype (an extended float included); a float64 state is not copied.
     want = (N_LAYERS, params.hidden)
     h_rows = _check_array(state.h, "state.h", "biuf", want).astype(np.float64, copy=False)
@@ -360,6 +362,13 @@ def _check_int(value, name: str, least) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def _check_type(value, name: str, cls, what: str):
+    """The one type rule: ``isinstance(value, cls)``, else ValueError naming it and ``what`` it must be; returns it."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be {what}, not {type(value).__name__}")
+    return value
 
 
 _KIND_NAMES = {"biuf": "bool, int or float", "biu": "bool or int"}

@@ -21,6 +21,7 @@ from .lm import (
     _check_int_fields,
     _check_positive_real,
     _check_token_id,
+    _check_type,
     _layer_backward,
     param_layout,
     stack_forward,
@@ -297,17 +298,11 @@ _DIMS = tuple(struct.Struct(f"<{rank}Q") for rank in range(256))  # a u8 rank's 
 _NAMES_UTF8 = tuple(name.encode() for name in ARRAY_NAMES)
 
 
-def _check_model_path(path) -> None:
-    """The model-path rule: a str or os.PathLike, else ValueError (``open`` would take an int as a file descriptor)."""
-    if not isinstance(path, (str, os.PathLike)):
-        raise ValueError(f"model path must be a str or os.PathLike, not {type(path).__name__}")
-
-
 def save_model(params: LstmStackParams, path, dtype: str = "f64") -> None:
     """Write the named-array container: per array its header, then its slice of ``flat``, cast on its own.
 
     A finite value that the f32 cast would make infinite raises ValueError naming its array, and no file is left."""
-    _check_model_path(path)
+    _check_type(path, "model path", (str, os.PathLike), "a str or os.PathLike")  # open() takes an int as an fd
     if not isinstance(dtype, str) or dtype not in _DTYPE_CODE:
         raise ValueError(f"dtype must be one of {sorted(_DTYPE_CODE)}")
     code = _DTYPE_CODE[dtype]
@@ -331,7 +326,7 @@ def load_model(path) -> LstmStackParams:
     of the file's bytes; the buffer is then one concatenation of them in file order, its layout, and its
     finiteness one ``_all_finite`` check.
     """
-    _check_model_path(path)
+    _check_type(path, "model path", (str, os.PathLike), "a str or os.PathLike")
     data = Path(path).read_bytes()
     offset = 0
 

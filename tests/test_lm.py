@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from drnnsim import lm
+from drnnsim import cosim, lm
 from drnnsim.accel import AcceleratorConfig, FixedPointFormat
 from drnnsim.lm import (
     LstmLayerParams,
@@ -156,6 +156,15 @@ class TestLstmCell:
         arrays = {"W": np.zeros((12, 3)), "U": np.zeros((12, 4)), "b": np.zeros(12)}
         arrays[field] = bad(arrays[field])
         with pytest.raises(ValueError, match=f"^{field} {message}$"):
+            LstmLayerParams(**arrays)
+
+    @pytest.mark.skipif(np.dtype(np.longdouble) == np.float64, reason="longdouble is float64 on this platform")
+    @pytest.mark.parametrize("field", ["W", "U", "b"])
+    def test_constructor_refuses_a_field_wider_than_float64(self, field):
+        arrays = {"W": np.zeros((12, 3)), "U": np.zeros((12, 4)), "b": np.zeros(12)}
+        arrays[field] = arrays[field].astype(np.longdouble)
+        wide = np.dtype(np.longdouble)
+        with pytest.raises(ValueError, match=f"^{field} has dtype {wide}, wider than float64$"):
             LstmLayerParams(**arrays)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int64, bool])
@@ -719,3 +728,27 @@ def test_zero_state_shapes():
         assert rows.dtype == np.float64
         np.testing.assert_array_equal(rows, np.zeros((3, 4)))
     assert not np.shares_memory(state.h, state.c)
+
+
+# A wrong object type: each of these entry points refuses it by the type rule before reading an attribute of it.
+_TYPE_RULE_CALLS = {
+    "stack_step": ("params", "an LstmStackParams", lambda bad: lm.stack_step(bad, 1, zero_state(init_params(2, 5)))),
+    "stack_forward": ("params", "an LstmStackParams", lambda bad: stack_forward(bad, [1])),
+    "lstm_cell_forward": (
+        "layer", "an LstmLayerParams", lambda bad: lstm_cell_forward(bad, 1, np.zeros(2), np.zeros(2)),
+    ),
+    "offload_gate_preactivation": (
+        "layer", "an LstmLayerParams",
+        lambda bad: cosim.offload_gate_preactivation(bad, np.zeros(2), 1, FixedPointFormat(8, 8)),
+    ),
+}
+
+
+@pytest.mark.parametrize("bad, got", [
+    (None, "NoneType"), (1, "int"), ("x", "str"), ((init_params(2, 5), None), "tuple"),
+], ids=["none", "int", "str", "tuple"])
+@pytest.mark.parametrize("entry", list(_TYPE_RULE_CALLS))
+def test_object_arguments_follow_the_type_rule(entry, bad, got):
+    name, what, call = _TYPE_RULE_CALLS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be {what}, not {got}$"):
+        call(bad)
